@@ -5,7 +5,7 @@ and resource/trainability analysis."""
 __version__ = "0.1.0"
 
 from .errors import CapacityError, ConfigError, DatasetParseError, TrainingError
-from .rng import make_rng, spawn_rngs
+from .rng import make_rng
 
 __all__ = [
     "CapacityError",
@@ -13,6 +13,5 @@ __all__ = [
     "DatasetParseError",
     "TrainingError",
     "make_rng",
-    "spawn_rngs",
     "__version__",
 ]

@@ -27,8 +27,16 @@ import numpy as np
 
 from .cfflm import FeatureMap, feature_matrix
 from .errors import CapacityError
-from .qfflm import AnsatzSpec, _program
-from .statevector import haar_unitary
+from .qfflm import (  # count_gates is re-exported
+    AnsatzSpec,
+    Parallel,
+    block_unitaries,
+    count_gates,
+    encoding_diagonal,
+    param_count,
+)
+from .spectra import exponential_weights
+from .statevector import apply_ry, haar_unitary
 
 __all__ = [
     "count_gates",
@@ -55,22 +63,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# gate and operation counting
+# operation counting
 # ---------------------------------------------------------------------------
-
-_GATE_WEIGHTS = {"ry": 1, "rz": 1, "rot": 3, "enc_rz": 1, "enc_rot": 3, "cnot": 1}
-
-
-def count_gates(spec: AnsatzSpec) -> int:
-    """Number of single-qubit rotations plus CNOTs in the compiled circuit.
-
-    Three-angle rotations count as three single-qubit gates, two-angle
-    per-qubit rotations as two, and every encoding rotation by its same
-    decomposition.  A spec with ``n_layers=0`` counts encoding gates only.
-    """
-    ops, _ = _program(spec)
-    return sum(_GATE_WEIGHTS[op[0]] for op in ops)
-
 
 def resrc_classical(K: int, M: int, N_tp: int, R_I: int = 0, R_II: int = 0) -> int:
     """Operation count ``2 K^M + R_I + 1 + N_tp (R_II + 1)`` for one
@@ -290,64 +284,6 @@ class PlateauReport:
 _MAX_HAAR_QUBITS = 10
 
 
-def _encoding_phases(n_variables: int, n_qubits: int, x: np.ndarray) -> np.ndarray:
-    """Diagonal of the full encoding layer at the point ``x``.
-
-    One RZ per qubit, weight ``3^(q-1)`` within each variable's register;
-    qubit 1 is the most significant bit of the index.
-    """
-    total = n_variables * n_qubits
-    indices = np.arange(1 << total)
-    phases = np.zeros(1 << total)
-    for m in range(n_variables):
-        for q in range(n_qubits):
-            g = m * n_qubits + q + 1  # global 1-based qubit position
-            bit = (indices >> (total - g)) & 1
-            phases += 3**q * x[m] * 0.5 * (2 * bit - 1)
-    return np.exp(1j * phases)
-
-
-def _layered_block(n: int, n_layers: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Batch of dense unitaries of randomly initialized trainable blocks.
-
-    Each block is ``n_layers`` repetitions of per-qubit RY, RZ rotations
-    followed by a CNOT line, with angles uniform on [-pi, pi).
-    """
-    from .statevector import apply_cnot, apply_ry, apply_rz
-
-    d = 1 << n
-    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (size, d, d)).copy()
-    for _ in range(n_layers):
-        for q in range(1, n + 1):
-            a = rng.uniform(-np.pi, np.pi, size=size)
-            b = rng.uniform(-np.pi, np.pi, size=size)
-            basis = apply_ry(basis, n, q, a[:, None])
-            basis = apply_rz(basis, n, q, b[:, None])
-        for q in range(1, n):
-            basis = apply_cnot(basis, n, q, q + 1)
-    # rows hold evolved basis states, so the unitary is the transpose
-    return basis.swapaxes(-1, -2)
-
-
-def _pair_rotate_lsb(chi: np.ndarray, theta: float) -> np.ndarray:
-    """RY(theta) on the least significant qubit of a batch of states."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    out = np.empty_like(chi)
-    out[..., 0::2] = c * chi[..., 0::2] - s * chi[..., 1::2]
-    out[..., 1::2] = s * chi[..., 0::2] + c * chi[..., 1::2]
-    return out
-
-
-def _pair_rotate_msb(v: np.ndarray, theta: float) -> np.ndarray:
-    """RY(theta) on the most significant qubit of a batch of states."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    half = v.shape[-1] // 2
-    out = np.empty_like(v)
-    out[..., :half] = c * v[..., :half] - s * v[..., half:]
-    out[..., half:] = s * v[..., :half] + c * v[..., half:]
-    return out
-
-
 def plateau_stats(
     n_variables: int,
     n_qubits: int,
@@ -364,8 +300,9 @@ def plateau_stats(
     with a Z measurement on the last qubit; ``S`` is the exponential
     encoding layer at the fixed point ``x``.  ``mode='haar'`` draws every
     trainable block as an exact Haar unitary on the full register, so the
-    known concentration formulas apply exactly; ``mode='circuit'`` draws
-    randomly initialized layered blocks instead (qualitative only).
+    known concentration formulas apply exactly; ``mode='circuit'`` runs
+    the trainable block of the compiled ``Parallel`` ansatz with angles
+    uniform on [-pi, pi) instead (qualitative only).
 
     The differentiated parameter sits at the very first rotation
     (``grad_case='II'``), at the final rotation on the measured qubit
@@ -391,14 +328,20 @@ def plateau_stats(
     if x.shape != (n_variables,):
         raise ValueError(f"x must have shape ({n_variables},), got {x.shape}")
 
+    spec = AnsatzSpec(n_variables, n_qubits, n_layers, Parallel(), exponential_weights(n_qubits))
+    n_block = param_count(spec) // 2  # W1 and W2 of a Parallel spec have the same layout
     d = 1 << total
     signs = np.where((np.arange(d) & 1) == 0, 1.0, -1.0)
-    phases = _encoding_phases(n_variables, n_qubits, x)
+    phases = encoding_diagonal(spec, x)
 
     def draw_block(size: int) -> np.ndarray:
         if mode == "haar":
             return haar_unitary(d, rng, size=size)
-        return _layered_block(total, n_layers, rng, size)
+        # one row of draws per angle, so each angle's batch is drawn in turn
+        return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, size)).T)
+
+    def shift(states: np.ndarray, qubit: int, angle: float) -> np.ndarray:
+        return apply_ry(states.copy(), total, qubit, angle)
 
     f_samples, grad_samples = [], []
     batch = max(1, min(1024, (1 << 21) // (d * d)))
@@ -424,14 +367,14 @@ def plateau_stats(
         elif grad_case == "III":
             chi = np.einsum("bij,bj->bi", w2, phases * w1[..., :, 0])
             base = chi
-            plus = _pair_rotate_lsb(chi, math.pi / 2.0)
-            minus = _pair_rotate_lsb(chi, -math.pi / 2.0)
+            plus = shift(chi, total, math.pi / 2.0)
+            minus = shift(chi, total, -math.pi / 2.0)
         else:  # bulk parameter between two trainable blocks
             v = wb[..., :, 0]
             tail = w2 * phases[None, None, :]  # w2 @ diag(phases)
             base = np.einsum("bij,bjk,bk->bi", tail, w1, v)
-            plus = np.einsum("bij,bjk,bk->bi", tail, w1, _pair_rotate_msb(v, math.pi / 2.0))
-            minus = np.einsum("bij,bjk,bk->bi", tail, w1, _pair_rotate_msb(v, -math.pi / 2.0))
+            plus = np.einsum("bij,bjk,bk->bi", tail, w1, shift(v, 1, math.pi / 2.0))
+            minus = np.einsum("bij,bjk,bk->bi", tail, w1, shift(v, 1, -math.pi / 2.0))
         f = z_expectation(base)
         grad = 0.5 * (z_expectation(plus) - z_expectation(minus))
         f_samples.append(f)

@@ -210,7 +210,7 @@ def _fmt(value: float) -> str:
 
 
 def _record_doc(record: trainer.ResultRecord) -> dict:
-    doc = json.loads(record.to_json())
+    doc = record.to_dict()
     del doc["wall_ms"]  # wall time goes to the sidecar log only
     return doc
 

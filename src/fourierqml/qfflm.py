@@ -61,6 +61,9 @@ __all__ = [
     "AnsatzSpec",
     "FourierCoefficients",
     "param_count",
+    "count_gates",
+    "block_unitaries",
+    "encoding_diagonal",
     "init_parameters",
     "evaluate",
     "evaluate_batch",
@@ -279,6 +282,68 @@ def param_count(spec: AnsatzSpec) -> int:
     return _program(spec)[1]
 
 
+_GATE_WEIGHTS = {"ry": 1, "rz": 1, "rot": 3, "enc_rz": 1, "enc_rot": 3, "cnot": 1}
+
+
+def count_gates(spec: AnsatzSpec) -> int:
+    """Number of single-qubit rotations plus CNOTs in the compiled circuit.
+
+    Three-angle rotations count as three single-qubit gates, two-angle
+    per-qubit rotations as two, and every encoding rotation by its same
+    decomposition.  A spec with ``n_layers=0`` counts encoding gates only.
+    """
+    ops, _ = _program(spec)
+    return sum(_GATE_WEIGHTS[op[0]] for op in ops)
+
+
+def _first_block_and_encoding(spec: AnsatzSpec) -> tuple[tuple, tuple]:
+    """Ops of the opening trainable block and of the encoding layer after it."""
+    ops, _ = _program(spec)
+    encoding = [op[0].startswith("enc_") for op in ops] + [False]
+    start = encoding.index(True)
+    stop = encoding.index(False, start)
+    return ops[:start], ops[start:stop]
+
+
+def block_unitaries(spec: AnsatzSpec, angles: np.ndarray) -> np.ndarray:
+    """Dense unitaries of the first trainable block, one per angle row.
+
+    ``angles`` has shape ``(size, n_block_params)`` and holds that block's
+    trainable angles in the flat theta order.  The block's ops run on the
+    ``2**n`` basis states at once; returns shape ``(size, 2**n, 2**n)``.
+    """
+    block, _ = _first_block_and_encoding(spec)
+    angles = np.asarray(angles, dtype=np.float64)
+    n_block = sum(len(op[2]) if op[0] == "rot" else 1 for op in block if op[0] != "cnot")
+    if angles.ndim != 2 or angles.shape[1] != n_block:
+        raise ValueError(f"angles must have shape (size, {n_block}), got {angles.shape}")
+    d = 1 << spec.total_qubits
+    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (angles.shape[0], d, d)).copy()
+    basis = _apply_ops(basis, spec.total_qubits, block, angles, None)
+    # rows hold evolved basis states, so the unitary is the transpose
+    return basis.swapaxes(-1, -2)
+
+
+def encoding_diagonal(spec: AnsatzSpec, x) -> np.ndarray:
+    """Diagonal of the encoding layer after the first trainable block at ``x``.
+
+    Only ``RZ`` encodings are diagonal; a ``Serial`` spec raises
+    ``ValueError``.  The phases of every ``enc_rz`` op are summed before a
+    single exponential.
+    """
+    _, layer = _first_block_and_encoding(spec)
+    if any(op[0] != "enc_rz" for op in layer):
+        raise ValueError("only RZ encoding layers are diagonal")
+    x = np.asarray(x, dtype=np.float64)
+    n = spec.total_qubits
+    indices = np.arange(1 << n)
+    phases = np.zeros(1 << n)
+    for _, qubit, var, weight in layer:
+        bit = (indices >> (n - qubit)) & 1
+        phases += weight * x[var] * 0.5 * (2 * bit - 1)
+    return np.exp(1j * phases)
+
+
 def init_parameters(spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
     """Independent uniform draws on [-pi, pi) for every trainable angle."""
     return rng.uniform(-np.pi, np.pi, size=param_count(spec))
@@ -305,6 +370,15 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     n = spec.total_qubits
     amps = np.zeros((thetas.shape[0], xs.shape[0], 1 << n), dtype=np.complex128)
     amps[:, :, 0] = 1.0
+    return _apply_ops(amps, n, ops, thetas, xs)
+
+
+def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> np.ndarray:
+    """Apply ``ops`` to amplitudes of shape (variants, data, 2**n).
+
+    Trainable angles come from ``thetas[:, i]`` along the variant axis
+    and encoding angles from ``xs[:, j]`` along the data axis.
+    """
 
     def tcol(i):
         return thetas[:, i][:, None]
@@ -401,11 +475,12 @@ def values_and_jacobian(
     rows = np.arange(n_tp)
     variants[1 + rows, rows] += np.pi / 2
     variants[1 + n_tp + rows, rows] -= np.pi / 2
+    if shots is not None and rng is None:
+        raise ValueError("sampled evaluation needs an rng")
     amps = _run_batch(spec, variants, xs)
-    z = expectation_z(amps, spec.total_qubits, spec.measured_qubit)
-    if shots is not None:
-        if rng is None:
-            raise ValueError("sampled evaluation needs an rng")
+    if shots is None:
+        z = expectation_z(amps, spec.total_qubits, spec.measured_qubit)
+    else:
         z = sample_expectation_z(amps, spec.total_qubits, spec.measured_qubit, shots, rng)
     values = z[0]
     jac = ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2.0).T

@@ -3,8 +3,7 @@
 All stochastic operations in this package take an explicit
 ``numpy.random.Generator``.  Generators are built on the counter-based
 Philox bit generator seeded through ``SeedSequence``, which gives
-bit-identical streams across platforms and lets independent child streams
-be derived from a parent seed without correlation.
+bit-identical streams across platforms.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | Sequence[int] | np.random.SeedSequence) -> np.random.Generator:
@@ -28,12 +27,3 @@ def make_rng(seed: int | Sequence[int] | np.random.SeedSequence) -> np.random.Ge
     else:
         seq = np.random.SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seq))
-
-
-def spawn_rngs(seed: int | Sequence[int] | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from a parent seed."""
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child)) for child in seq.spawn(n)]

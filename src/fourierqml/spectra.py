@@ -21,6 +21,7 @@ degree ``d_F = (3^N - 1) / 2``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import log10, prod
 
@@ -107,16 +108,23 @@ class FrequencySpectrum:
         return len(self.support)
 
 
-def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
-    """Frequency support and multiplicities via the three-shift recurrence."""
+def _recurrence(weights: tuple[int, ...]) -> Iterator[Counter[int]]:
+    """Frequency multiplicities after each weight of the three-shift recurrence."""
     counts: Counter[int] = Counter({0: 1})
-    for beta in enc.weights:
+    for beta in weights:
         step: Counter[int] = Counter()
         for value, count in counts.items():
             step[value - beta] += count
             step[value] += count
             step[value + beta] += count
         counts = step
+        yield counts
+
+
+def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
+    """Frequency support and multiplicities via the three-shift recurrence."""
+    for counts in _recurrence(enc.weights):
+        pass  # weights are non-empty, so the last step is the full spectrum
     support = np.array(sorted(counts), dtype=np.int64)
     multiplicity = np.array([counts[int(v)] for v in support], dtype=np.int64)
     return FrequencySpectrum(support=support, multiplicity=multiplicity)
@@ -148,17 +156,10 @@ def is_maximally_nondegenerate(enc: EncodingSpec, max_exact_rotations: int = 13)
         raise CapacityError(
             f"cannot decide nondegeneracy exactly for {len(enc.weights)} rotations"
         )
-    counts: Counter[int] = Counter({0: 1})
-    for beta in enc.weights:
-        step: Counter[int] = Counter()
-        for value, count in counts.items():
-            step[value - beta] += count
-            step[value] += count
-            step[value + beta] += count
+    for counts in _recurrence(enc.weights):
         # a collision never un-happens in later steps, so exit early
-        if max(step.values()) > 1:
+        if max(counts.values()) > 1:
             return False
-        counts = step
     return True
 
 

@@ -20,24 +20,13 @@ holding the result; callers should always rebind to the return value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import CapacityError
-
+# register cap for model specs; one 2**24 amplitude array is 256 MiB
 MAX_QUBITS = 24
 
 __all__ = [
     "MAX_QUBITS",
-    "RZ",
-    "RY",
-    "Rot",
-    "CNOT",
-    "DenseUnitary",
-    "StateVector",
-    "init_state",
-    "apply_gate",
     "apply_rz",
     "apply_ry",
     "apply_rot",
@@ -50,120 +39,13 @@ __all__ = [
 ]
 
 
-def _check_angle(value: float, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class RZ:
-    """Z rotation: diag(exp(-i a/2), exp(+i a/2)) on ``target``."""
-
-    target: int
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.angle, "angle"))
-
-
-@dataclass(frozen=True)
-class RY:
-    """Y rotation: [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]] on ``target``."""
-
-    target: int
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", _check_angle(self.angle, "angle"))
-
-
-@dataclass(frozen=True)
-class Rot:
-    """General single-qubit rotation ``RZ(angle1) @ RY(angle2) @ RZ(angle3)``.
-
-    The rightmost factor acts first: applying ``Rot`` equals applying
-    ``RZ(angle3)``, then ``RY(angle2)``, then ``RZ(angle1)``.
-    """
-
-    target: int
-    angle1: float
-    angle2: float
-    angle3: float
-
-    def __post_init__(self):
-        for name in ("angle1", "angle2", "angle3"):
-            object.__setattr__(self, name, _check_angle(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class CNOT:
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("CNOT control and target must differ")
-
-
-@dataclass(frozen=True)
-class DenseUnitary:
-    """Explicit unitary on an ordered tuple of target qubits.
-
-    ``targets[0]`` is the most significant bit of the block index used to
-    interpret ``matrix``.  This is the slow validated path used as an
-    oracle for the specialised kernels.
-    """
-
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        targets = tuple(int(t) for t in self.targets)
-        k = len(targets)
-        if k == 0 or len(set(targets)) != k:
-            raise ValueError("targets must be a non-empty tuple of distinct qubits")
-        if mat.shape != (1 << k, 1 << k):
-            raise ValueError(f"matrix shape {mat.shape} does not match {k} target qubit(s)")
-        deviation = np.abs(mat.conj().T @ mat - np.eye(1 << k)).max()
-        if deviation > 1e-10:
-            raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "targets", targets)
-
-
-Gate = RZ | RY | Rot | CNOT | DenseUnitary
-
-
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-
-def init_state(n_qubits: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    """All-zeros computational basis state ``|0...0>``.
-
-    Raises ``CapacityError`` when ``n_qubits`` falls outside
-    ``1..max_qubits``; the default cap of 24 keeps a single amplitude
-    array within a desk-scale memory budget.
-    """
-    if not 1 <= n_qubits <= max_qubits:
-        raise CapacityError(f"n_qubits={n_qubits} outside supported range 1..{max_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n_qubits=n_qubits, amplitudes=amps)
-
-
 def _axis_view(amps: np.ndarray, n_qubits: int, target: int) -> np.ndarray:
     # (..., 2**n) -> (..., 2**(t-1), 2, 2**(n-t)); a view for contiguous input
     lead = amps.shape[:-1]
     return amps.reshape(*lead, 1 << (target - 1), 2, 1 << (n_qubits - target))
 
 
-def _bcast(angle, like: np.ndarray) -> np.ndarray:
+def _bcast(angle) -> np.ndarray:
     # lift an angle (scalar or batch-shaped array) onto the last two axes
     arr = np.asarray(angle, dtype=np.float64)
     return arr[..., None, None]
@@ -172,7 +54,7 @@ def _bcast(angle, like: np.ndarray) -> np.ndarray:
 def apply_rz(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
     amps = np.ascontiguousarray(amps)
     view = _axis_view(amps, n_qubits, target)
-    phase = np.exp(-0.5j * _bcast(angle, view))
+    phase = np.exp(-0.5j * _bcast(angle))
     view[..., 0, :] *= phase
     view[..., 1, :] *= np.conj(phase)
     return amps
@@ -181,7 +63,7 @@ def apply_rz(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
 def apply_ry(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
     amps = np.ascontiguousarray(amps)
     view = _axis_view(amps, n_qubits, target)
-    half = 0.5 * _bcast(angle, view)
+    half = 0.5 * _bcast(angle)
     c, s = np.cos(half), np.sin(half)
     a0 = view[..., 0, :]
     a1 = view[..., 1, :]
@@ -220,6 +102,12 @@ def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np
 
 
 def apply_dense(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply an explicit unitary on an ordered tuple of target qubits.
+
+    ``targets[0]`` is the most significant bit of the block index used to
+    interpret ``matrix``.  This is the slow general path that the
+    specialised kernels are checked against.
+    """
     lead = amps.shape[:-1]
     nb = len(lead)
     k = len(targets)
@@ -234,39 +122,10 @@ def apply_dense(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tu
     return np.ascontiguousarray(tensor).reshape(*lead, 1 << n_qubits)
 
 
-def _check_qubit(q: int, n_qubits: int, name: str = "qubit") -> None:
-    if not 1 <= q <= n_qubits:
-        raise IndexError(f"{name} {q} out of range 1..{n_qubits}")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply ``gate`` to ``state`` in place and return it."""
-    n = state.n_qubits
-    if isinstance(gate, RZ):
-        _check_qubit(gate.target, n, "target")
-        state.amplitudes = apply_rz(state.amplitudes, n, gate.target, gate.angle)
-    elif isinstance(gate, RY):
-        _check_qubit(gate.target, n, "target")
-        state.amplitudes = apply_ry(state.amplitudes, n, gate.target, gate.angle)
-    elif isinstance(gate, Rot):
-        _check_qubit(gate.target, n, "target")
-        state.amplitudes = apply_rot(state.amplitudes, n, gate.target, gate.angle1, gate.angle2, gate.angle3)
-    elif isinstance(gate, CNOT):
-        _check_qubit(gate.control, n, "control")
-        _check_qubit(gate.target, n, "target")
-        state.amplitudes = apply_cnot(state.amplitudes, n, gate.control, gate.target)
-    elif isinstance(gate, DenseUnitary):
-        for t in gate.targets:
-            _check_qubit(t, n, "target")
-        state.amplitudes = apply_dense(state.amplitudes, n, gate.matrix, gate.targets)
-    else:
-        raise TypeError(f"unsupported gate type {type(gate).__name__}")
-    return state
-
-
 def expectation_z(amps: np.ndarray, n_qubits: int, qubit: int):
     """``<Z>`` on ``qubit``; batched over any leading axes of ``amps``."""
-    _check_qubit(qubit, n_qubits)
+    if not 1 <= qubit <= n_qubits:
+        raise IndexError(f"qubit {qubit} out of range 1..{n_qubits}")
     lead = amps.shape[:-1]
     prob = (amps.real**2 + amps.imag**2).reshape(
         *lead, 1 << (qubit - 1), 2, 1 << (n_qubits - qubit)

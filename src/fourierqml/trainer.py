@@ -1,10 +1,15 @@
-"""Datasets, targets, loss, Adam, and end-to-end training loops.
+"""Datasets, targets, loss, Adam, and the training loop.
 
-Both model families train through the same loop: full-batch (or fixed
+Both model families train through one loop: full-batch (or seeded
 random-batch) mean-squared-error gradient descent with bias-corrected
-Adam.  Quantum models get their gradients from the parameter-shift rule
-evaluated as one batched statevector pass per step; classical models use
-precomputed feature matrices.
+Adam.  The loop owns batch selection, the loss and test-loss traces, the
+divergence abort and the result record.  A thin adapter per family
+validates its inputs, keeps its resource counters and hands the loop
+three callables: values and Jacobian on a batch, exact values on the
+training or test data, and coefficient recovery.  The quantum Jacobian
+comes from the parameter-shift rule, evaluated as one batched
+statevector pass per step; the classical Jacobian is the batch's rows of
+the precomputed (projected) feature matrix.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis
 from .cfflm import (
     ClassicalModel,
     FeatureMap,
@@ -35,6 +39,7 @@ from .qfflm import (
     AnsatzSpec,
     Parallel,
     coefficient_vector,
+    count_gates,
     evaluate_batch,
     fourier_coefficients,
     init_parameters,
@@ -322,8 +327,8 @@ class ResultRecord:
     def final_loss(self) -> float:
         return float(self.loss_trace[-1])
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "config": self.config,
             "seed": self.seed,
             "loss_trace": [float(v) for v in self.loss_trace],
@@ -337,7 +342,9 @@ class ResultRecord:
             if self.recovered_coefficients is None
             else [float(v) for v in self.recovered_coefficients],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def trace_csv(self) -> str:
         out = io.StringIO()
@@ -396,17 +403,52 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int | None) -> 
     return rng.choice(n, size=batch_size, replace=False)
 
 
-def _partial_record(cfg, trace, test_trace, params, counters, started, note):
-    record = ResultRecord(
-        config=dict(cfg.to_dict(), aborted=note),
-        seed=cfg.seed,
-        loss_trace=np.asarray(trace),
-        test_loss_trace=None if test_trace is None else np.asarray(test_trace),
-        final_params=params.copy(),
-        resource_counters=counters,
-        wall_ms=(time.perf_counter() - started) * 1e3,
-    )
-    return record
+def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, recover,
+         counters: dict, started: float) -> ResultRecord:
+    """The training loop both model families share.
+
+    ``batch(params, idx)`` returns the model values and their Jacobian on
+    ``data.inputs[idx]``; ``exact(params, test)`` returns exact values on
+    ``data``, or on ``test_data`` when ``test`` is true; ``recover(params)``
+    returns the coefficient vector.  The callables keep ``counters``.
+    """
+    state = AdamState.initialize(params, cfg.beta1, cfg.beta2, cfg.eps)
+    trace: list[float] = []
+    test_trace: list[float] | None = [] if test_data is not None else None
+
+    def record(config: dict, recovered=None) -> ResultRecord:
+        return ResultRecord(
+            config=config,
+            seed=cfg.seed,
+            loss_trace=np.asarray(trace),
+            test_loss_trace=None if test_trace is None else np.asarray(test_trace),
+            final_params=state.params.copy(),
+            resource_counters=counters,
+            wall_ms=(time.perf_counter() - started) * 1e3,
+            recovered_coefficients=recovered,
+        )
+
+    for _ in range(cfg.steps):
+        idx = _batch_indices(rng, len(data), cfg.batch_size)
+        values, jac = batch(state.params, idx)
+        residual = values - data.outputs[idx]
+        loss = float(np.mean(residual**2))
+        trace.append(loss)
+        if test_trace is not None:
+            test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
+        if not np.isfinite(loss) or loss > cfg.divergence_threshold:
+            raise TrainingError(
+                f"loss {loss} exceeded divergence threshold after {len(trace)} steps",
+                record=record(dict(cfg.to_dict(), aborted="divergence")),
+            )
+        grad = (2.0 / idx.size) * (jac.T @ residual)
+        adam_step(state, grad, cfg.learning_rate)
+
+    trace.append(mse_loss(exact(state.params, False), data.outputs))
+    if test_trace is not None:
+        test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
+    recovered = recover(state.params) if cfg.recover_coefficients else None
+    return record(cfg.to_dict(), recovered)
 
 
 def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data) -> ResultRecord:
@@ -421,7 +463,7 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
     rng = make_rng(cfg.seed)
     theta = init_parameters(spec, rng)
     n_tp = param_count(spec)
-    n_gt = analysis.count_gates(spec)
+    n_gt = count_gates(spec)
     counters = {
         "gate_count_per_circuit": n_gt,
         "trainable_parameters": n_tp,
@@ -430,58 +472,28 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         "shots_drawn": 0,
         "test_evaluations": 0,
     }
-    state = AdamState.initialize(theta, cfg.beta1, cfg.beta2, cfg.eps)
-    trace: list[float] = []
-    test_trace: list[float] | None = [] if test_data is not None else None
 
-    def test_loss():
-        counters["test_evaluations"] += len(test_data)
-        return mse_loss(evaluate_batch(spec, state.params, test_data.inputs), test_data.outputs)
-
-    for _ in range(cfg.steps):
-        idx = _batch_indices(rng, len(data), cfg.batch_size)
-        values, jac = values_and_jacobian(
-            spec, state.params, data.inputs[idx], shots=cfg.shots, rng=rng
-        )
+    def batch(params, idx):
+        values, jac = values_and_jacobian(spec, params, data.inputs[idx], shots=cfg.shots, rng=rng)
         evaluations = (2 * n_tp + 1) * idx.size
         counters["circuit_evaluations"] += evaluations
         counters["gate_operations"] += n_gt * evaluations
         if cfg.shots is not None:
             counters["shots_drawn"] += cfg.shots * evaluations
-        residual = values - data.outputs[idx]
-        loss = float(np.mean(residual**2))
-        trace.append(loss)
-        if test_trace is not None:
-            test_trace.append(test_loss())
-        if not np.isfinite(loss) or loss > cfg.divergence_threshold:
-            raise TrainingError(
-                f"loss {loss} exceeded divergence threshold after {len(trace)} steps",
-                record=_partial_record(cfg, trace, test_trace, state.params, counters,
-                                       started, "divergence"),
-            )
-        grad = (2.0 / idx.size) * (jac.T @ residual)
-        adam_step(state, grad, cfg.learning_rate)
+        return values, jac
 
-    final_values = evaluate_batch(spec, state.params, data.inputs)
-    counters["circuit_evaluations"] += len(data)
-    counters["gate_operations"] += n_gt * len(data)
-    trace.append(mse_loss(final_values, data.outputs))
-    if test_trace is not None:
-        test_trace.append(test_loss())
+    def exact(params, test):
+        if test:
+            counters["test_evaluations"] += len(test_data)
+            return evaluate_batch(spec, params, test_data.inputs)
+        counters["circuit_evaluations"] += len(data)
+        counters["gate_operations"] += n_gt * len(data)
+        return evaluate_batch(spec, params, data.inputs)
 
-    recovered = None
-    if cfg.recover_coefficients:
-        recovered = coefficient_vector(fourier_coefficients(spec, state.params))
-    return ResultRecord(
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        loss_trace=np.asarray(trace),
-        test_loss_trace=None if test_trace is None else np.asarray(test_trace),
-        final_params=state.params,
-        resource_counters=counters,
-        wall_ms=(time.perf_counter() - started) * 1e3,
-        recovered_coefficients=recovered,
-    )
+    def recover(params):
+        return coefficient_vector(fourier_coefficients(spec, params))
+
+    return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters, started)
 
 
 def _train_classical(
@@ -494,15 +506,14 @@ def _train_classical(
         )
     if cfg.recover_coefficients:
         _nyquist_check(data.inputs, fm.degrees, cfg.allow_sub_nyquist)
-    rng = make_rng(cfg.seed)
-    phi = feature_matrix(data.inputs, fm)
-    if model.projection is not None:
-        phi = phi @ model.projection.T
-    phi_test = None
-    if test_data is not None:
-        phi_test = feature_matrix(test_data.inputs, fm)
-        if model.projection is not None:
-            phi_test = phi_test @ model.projection.T
+    projection = model.projection
+
+    def features(dataset: Dataset) -> np.ndarray:
+        phi = feature_matrix(dataset.inputs, fm)
+        return phi if projection is None else phi @ projection.T
+
+    phi = features(data)
+    phi_test = None if test_data is None else features(test_data)
     dim = phi.shape[1]
     counters = {
         "parameter_dimension": dim,
@@ -510,48 +521,25 @@ def _train_classical(
         "forward_passes": 0,
         "dot_operations": 0,
     }
-    state = AdamState.initialize(model.coefficients, cfg.beta1, cfg.beta2, cfg.eps)
-    trace: list[float] = []
-    test_trace: list[float] | None = [] if test_data is not None else None
-    for _ in range(cfg.steps):
-        idx = _batch_indices(rng, len(data), cfg.batch_size)
-        values = phi[idx] @ state.params
+
+    def batch(params, idx):
+        rows = phi[idx]
         counters["forward_passes"] += idx.size
         counters["dot_operations"] += 2 * idx.size * dim  # forward + gradient
-        residual = values - data.outputs[idx]
-        loss = float(np.mean(residual**2))
-        trace.append(loss)
-        if test_trace is not None:
-            test_trace.append(mse_loss(phi_test @ state.params, test_data.outputs))
-        if not np.isfinite(loss) or loss > cfg.divergence_threshold:
-            raise TrainingError(
-                f"loss {loss} exceeded divergence threshold after {len(trace)} steps",
-                record=_partial_record(cfg, trace, test_trace, state.params, counters,
-                                       started, "divergence"),
-            )
-        grad = (2.0 / idx.size) * (phi[idx].T @ residual)
-        adam_step(state, grad, cfg.learning_rate)
-    trace.append(mse_loss(phi @ state.params, data.outputs))
-    counters["forward_passes"] += len(data)
-    counters["dot_operations"] += len(data) * dim
-    if test_trace is not None:
-        test_trace.append(mse_loss(phi_test @ state.params, test_data.outputs))
-    recovered = None
-    if cfg.recover_coefficients:
-        if model.projection is not None:
-            recovered = model.projection.T @ state.params
-        else:
-            recovered = state.params.copy()
-    return ResultRecord(
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        loss_trace=np.asarray(trace),
-        test_loss_trace=None if test_trace is None else np.asarray(test_trace),
-        final_params=state.params,
-        resource_counters=counters,
-        wall_ms=(time.perf_counter() - started) * 1e3,
-        recovered_coefficients=recovered,
-    )
+        return rows @ params, rows
+
+    def exact(params, test):
+        if test:
+            return phi_test @ params
+        counters["forward_passes"] += len(data)
+        counters["dot_operations"] += len(data) * dim
+        return phi @ params
+
+    def recover(params):
+        return params.copy() if projection is None else projection.T @ params
+
+    return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, test_data,
+                batch, exact, recover, counters, started)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""The benchmark's tracer must find, and see calls through, every binding.
+
+``perfbench/tracer.py`` wraps package functions at the module bindings
+their callers look them up through and aborts if one is missing.  Small
+quantum and classical fits, a plateau sample and a CLI query run under
+the tracer here, so a refactor that drops a traced binding, or stops
+calling through it, fails in this suite rather than in the benchmark.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fourierqml import analysis, cli, trainer
+from fourierqml.cfflm import ClassicalModel, FeatureMap
+from fourierqml.qfflm import AnsatzSpec, Parallel
+from fourierqml.rng import make_rng
+from fourierqml.spectra import exponential_weights
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        yield tracer, tracer_module.SPANS
+    finally:
+        tracer.uninstall()
+
+
+def test_every_traced_span_records_calls(bench_tracer, tmp_path):
+    tracer, spans = bench_tracer
+    data = trainer.make_step_dataset(8)
+    cfg = trainer.TrainConfig(steps=2, seed=0)
+    spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
+                      topology=Parallel(), encoding=exponential_weights(2))
+    trainer.train(spec, data, cfg)
+    fm = FeatureMap(n_variables=1, degrees=(2,))
+    trainer.train(ClassicalModel(coefficients=np.zeros(fm.dimension)), data, cfg,
+                  feature_map=fm)
+    analysis.plateau_stats(1, 2, 100, make_rng(0))
+    assert cli.main(["spectrum", "--exp", "2", "--output", str(tmp_path / "s.json")]) == 0
+    for span in ("trainer.train_q", "trainer.train_c", "trainer.adam_step",
+                 "qfflm.values_and_jacobian", "statevector.haar_unitary"):
+        assert span in spans
+    silent = [span for span in spans if tracer.calls[span] == 0]
+    assert not silent, f"traced spans saw no calls: {silent}"

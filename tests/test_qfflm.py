@@ -13,7 +13,9 @@ from fourierqml.qfflm import (
     Serial,
     ansatz_from_json,
     ansatz_to_json,
+    block_unitaries,
     coefficient_vector,
+    encoding_diagonal,
     evaluate,
     evaluate_batch,
     evaluate_sampled,
@@ -25,6 +27,7 @@ from fourierqml.qfflm import (
 )
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
+from fourierqml.statevector import expectation_z
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,45 @@ class TestInitParameters:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (param_count(spec),)
         assert np.all(a >= -np.pi) and np.all(a < np.pi)
+
+
+# ---------------------------------------------------------------------------
+# dense blocks and encoding diagonals of the compiled program
+# ---------------------------------------------------------------------------
+
+class TestDenseProgram:
+    @pytest.mark.parametrize("spec", [
+        sample_specs()[0],
+        sample_specs()[1],
+        AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1, topology=Ring(reuploads=1),
+                   encoding=EncodingSpec(weights=(2,)), rotation_params=3),
+    ], ids=["parallel", "parallel-2var-rot", "ring"])
+    def test_dense_pieces_reproduce_evaluate(self, spec):
+        """W2 D(x) W1 |0> from the dense pieces gives the gate path's value;
+        the block after the encoding has the first block's layout, so the
+        second half of theta is W2's angles."""
+        rng = make_rng(31)
+        theta = init_parameters(spec, rng)
+        half = theta.size // 2
+        w1, w2 = block_unitaries(spec, np.stack([theta[:half], theta[half:]]))
+        for x in rng.uniform(-np.pi, np.pi, (4, spec.n_variables)):
+            psi = w2 @ (encoding_diagonal(spec, x) * w1[:, 0])
+            value = expectation_z(psi, spec.total_qubits, spec.measured_qubit)
+            assert value == pytest.approx(evaluate(spec, theta, x), abs=1e-12)
+
+    def test_empty_block_is_identity(self):
+        spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=0,
+                          topology=Parallel(), encoding=exponential_weights(2))
+        np.testing.assert_array_equal(block_unitaries(spec, np.zeros((2, 0))),
+                                      np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+    def test_angle_shape_checked(self):
+        with pytest.raises(ValueError, match="angles"):
+            block_unitaries(sample_specs()[0], np.zeros((2, 3)))
+
+    def test_rot_encoding_is_not_diagonal(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            encoding_diagonal(sample_specs()[2], np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

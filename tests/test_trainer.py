@@ -169,7 +169,65 @@ class TestTrainConfig:
             TrainConfig(shots=0)
 
 
-class TestClassicalTraining:
+class SharedLoopChecks:
+    """Training-loop behaviour both model families share.
+
+    Subclasses say how to train and predict; ``PER_POINT`` is the cost a
+    training step charges to ``EVALUATIONS`` per batch point.
+    """
+
+    EVALUATIONS: str
+    PER_POINT: int
+
+    def train(self, data, cfg, test_data=None):
+        raise NotImplementedError
+
+    def predict(self, params, inputs):
+        raise NotImplementedError
+
+    def test_batched_steps(self):
+        data = make_step_dataset(10)
+        cfg = TrainConfig(learning_rate=0.05, steps=4, seed=0, batch_size=3)
+        record = self.train(data, cfg)
+        assert record.resource_counters[self.EVALUATIONS] == 4 * self.PER_POINT * 3 + 10
+        assert len(record.loss_trace) == 5
+
+    def test_test_loss_trace(self):
+        data = make_step_dataset(8)
+        test_data = make_step_dataset(5)
+        record = self.train(data, TrainConfig(steps=3, seed=0), test_data=test_data)
+        assert record.test_loss_trace.shape == record.loss_trace.shape
+        final = mse_loss(self.predict(record.final_params, test_data.inputs), test_data.outputs)
+        assert record.test_loss_trace[-1] == pytest.approx(final, abs=1e-14)
+
+    def test_divergence_aborts_with_partial_record(self):
+        data = make_grid_dataset(FourierTarget(coefficients=0.2 * np.ones(5)), 20)
+        cfg = TrainConfig(learning_rate=0.05, steps=50, seed=0,
+                          divergence_threshold=1e-12)
+        with pytest.raises(TrainingError) as excinfo:
+            self.train(data, cfg, test_data=data)
+        record = excinfo.value.record
+        assert record is not None
+        assert record.config["aborted"] == "divergence"
+        assert len(record.loss_trace) >= 1
+        assert record.test_loss_trace.shape == record.loss_trace.shape
+        assert record.loss_trace[-1] > cfg.divergence_threshold
+
+
+CLASSICAL_FM = FeatureMap(n_variables=1, degrees=(2,))
+
+
+class TestClassicalTraining(SharedLoopChecks):
+    EVALUATIONS = "forward_passes"
+    PER_POINT = 1
+
+    def train(self, data, cfg, test_data=None):
+        model = ClassicalModel(coefficients=np.zeros(CLASSICAL_FM.dimension))
+        return train(model, data, cfg, feature_map=CLASSICAL_FM, test_data=test_data)
+
+    def predict(self, params, inputs):
+        return feature_matrix(inputs, CLASSICAL_FM) @ params
+
     def test_convex_run_reaches_floor(self):
         """Fully parametrized model on an in-span target: Adam should land
         within 1e-3 of zero, the normal-equations optimum."""
@@ -216,20 +274,17 @@ class TestClassicalTraining:
                   - mse_loss(phi @ (c0 - step), data.outputs)) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
-    def test_divergence_aborts_with_partial_record(self):
-        fm = FeatureMap(n_variables=1, degrees=(2,))
-        data = make_grid_dataset(FourierTarget(coefficients=0.2 * np.ones(5)), 20)
-        cfg = TrainConfig(learning_rate=0.05, steps=50, seed=0,
-                          divergence_threshold=1e-12)
-        with pytest.raises(TrainingError) as excinfo:
-            train(ClassicalModel(coefficients=np.zeros(5)), data, cfg, feature_map=fm)
-        record = excinfo.value.record
-        assert record is not None
-        assert record.config["aborted"] == "divergence"
-        assert len(record.loss_trace) >= 1
 
+class TestQuantumTraining(SharedLoopChecks):
+    EVALUATIONS = "circuit_evaluations"
+    PER_POINT = 17  # 2 N_tp + 1 circuits with N_tp = 8
 
-class TestQuantumTraining:
+    def train(self, data, cfg, test_data=None):
+        return train(TWO_QUBIT, data, cfg, test_data=test_data)
+
+    def predict(self, params, inputs):
+        return evaluate_batch(TWO_QUBIT, params, inputs)
+
     def test_zero_target_first_steps_decrease(self):
         """With target 0 the loss is <f^2>; early Adam steps should shrink
         it from almost any starting point."""
@@ -274,12 +329,6 @@ class TestQuantumTraining:
         assert record.resource_counters["shots_drawn"] == 0
         assert len(record.loss_trace) == 4  # pre-update losses plus final
 
-    def test_batched_steps(self):
-        data = make_step_dataset(10)
-        cfg = TrainConfig(learning_rate=0.05, steps=4, seed=0, batch_size=3)
-        record = train(TWO_QUBIT, data, cfg)
-        assert record.resource_counters["circuit_evaluations"] == 4 * 17 * 3 + 10
-
     def test_shot_sampled_run_is_deterministic(self):
         data = make_step_dataset(8)
         cfg = TrainConfig(learning_rate=0.05, steps=5, seed=42, shots=64)
@@ -294,13 +343,6 @@ class TestQuantumTraining:
         a = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=0))
         b = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=1))
         assert not np.array_equal(a.final_params, b.final_params)
-
-    def test_test_loss_trace(self):
-        data = make_step_dataset(8)
-        test_data = make_step_dataset(5)
-        record = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=0),
-                       test_data=test_data)
-        assert record.test_loss_trace.shape == record.loss_trace.shape
 
     def test_nyquist_guard(self):
         # degree 4 spectrum needs 9 distinct points; 7 is too few
