@@ -359,11 +359,12 @@ def plateau_stats(
 
         if grad_case == "II":
             # theta is the opening rotation: evolve shifted basis states
-            # through the whole circuit.
-            full = w2 @ (phases[:, None] * w1)
-            base = full[..., :, 0]
-            plus = (full[..., :, 0] + full[..., :, d // 2]) / math.sqrt(2.0)
-            minus = (full[..., :, 0] - full[..., :, d // 2]) / math.sqrt(2.0)
+            # through the whole circuit.  RY(+-pi/2) on qubit 1 of |0> mixes
+            # only basis columns 0 and d/2, so only those are carried.
+            cols = w2 @ (phases[:, None] * w1[..., :, [0, d // 2]])
+            base = cols[..., 0]
+            plus = (cols[..., 0] + cols[..., 1]) / math.sqrt(2.0)
+            minus = (cols[..., 0] - cols[..., 1]) / math.sqrt(2.0)
         elif grad_case == "III":
             chi = np.einsum("bij,bj->bi", w2, phases * w1[..., :, 0])
             base = chi

@@ -27,10 +27,21 @@ Trainable blocks are hardware-efficient: ``n_layers`` repetitions of
 per-qubit rotations (RY then RZ with ``rotation_params=2``, or a full
 ``Rot`` with 3) followed by a CNOT line (ring for ``Ring``).
 
-All evaluation goes through one batched statevector pass with amplitude
+All evaluation goes through one batched pass that returns amplitude
 arrays of shape ``(theta_variants, data_points, 2**n)``; the
 parameter-shift Jacobian over a whole dataset is therefore a single
-sweep through the gate sequence.
+call.  The pass has two modes, chosen by a fixed rule:
+
+* fused, when every encoding op is a diagonal ``RZ`` (``Parallel``,
+  ``Ring``) and ``2**n <= data_points``: each trainable block becomes one
+  dense ``(theta_variants, 2**n, 2**n)`` matrix, built by running its
+  gates on the basis states, and the data enter only as diagonal phase
+  arrays between the blocks.  The matrices are never larger than the
+  amplitude batch;
+* gate by gate otherwise (``Serial``, whose ``Rot`` encoding is not
+  diagonal, and batches with fewer than ``2**n`` points): every gate
+  acts on the whole amplitude batch.  Tests use this mode as the oracle
+  for the fused one.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from math import prod
 
 import numpy as np
@@ -296,52 +308,77 @@ def count_gates(spec: AnsatzSpec) -> int:
     return sum(_GATE_WEIGHTS[op[0]] for op in ops)
 
 
-def _first_block_and_encoding(spec: AnsatzSpec) -> tuple[tuple, tuple]:
-    """Ops of the opening trainable block and of the encoding layer after it."""
+def _is_encoding(op: tuple) -> bool:
+    return op[0].startswith("enc_")
+
+
+@lru_cache(maxsize=None)
+def _segments(spec: AnsatzSpec) -> tuple[tuple, ...]:
+    """The program cut into ``(block, layer, block, ..., layer, block)``.
+
+    Even entries are trainable blocks (possibly empty), odd entries the
+    runs of encoding ops between them.
+    """
     ops, _ = _program(spec)
-    encoding = [op[0].startswith("enc_") for op in ops] + [False]
-    start = encoding.index(True)
-    stop = encoding.index(False, start)
-    return ops[:start], ops[start:stop]
+    runs = [tuple(run) for _, run in groupby(ops, key=_is_encoding)]
+    if _is_encoding(ops[0]):
+        runs.insert(0, ())
+    if len(runs) % 2 == 0:
+        runs.append(())
+    return tuple(runs)
+
+
+def _block_rows(n: int, block: tuple, thetas: np.ndarray) -> np.ndarray:
+    """Row ``j`` of entry ``v`` is ``U_v |j>``: shape (variants, 2**n, 2**n).
+
+    The block's ops run on the ``2**n`` basis states at once, so a batch
+    of row-vector states ``psi`` is evolved by ``psi @ rows``.
+    """
+    d = 1 << n
+    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (thetas.shape[0], d, d)).copy()
+    return _apply_ops(basis, n, block, thetas, None)
+
+
+def _encoding_phases(n: int, layer: tuple, xs: np.ndarray) -> np.ndarray:
+    """Diagonal of an ``enc_rz`` layer at every input row: shape (data, 2**n).
+
+    The phases of every op are summed before a single exponential.
+    """
+    indices = np.arange(1 << n)
+    phases = np.zeros((xs.shape[0], 1 << n))
+    for _, qubit, var, weight in layer:
+        bit = (indices >> (n - qubit)) & 1
+        phases += (weight * xs[:, var] * 0.5)[:, None] * (2 * bit - 1)
+    return np.exp(1j * phases)
 
 
 def block_unitaries(spec: AnsatzSpec, angles: np.ndarray) -> np.ndarray:
     """Dense unitaries of the first trainable block, one per angle row.
 
     ``angles`` has shape ``(size, n_block_params)`` and holds that block's
-    trainable angles in the flat theta order.  The block's ops run on the
-    ``2**n`` basis states at once; returns shape ``(size, 2**n, 2**n)``.
+    trainable angles in the flat theta order.  Returns shape
+    ``(size, 2**n, 2**n)``.
     """
-    block, _ = _first_block_and_encoding(spec)
+    block = _segments(spec)[0]
     angles = np.asarray(angles, dtype=np.float64)
     n_block = sum(len(op[2]) if op[0] == "rot" else 1 for op in block if op[0] != "cnot")
     if angles.ndim != 2 or angles.shape[1] != n_block:
         raise ValueError(f"angles must have shape (size, {n_block}), got {angles.shape}")
-    d = 1 << spec.total_qubits
-    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (angles.shape[0], d, d)).copy()
-    basis = _apply_ops(basis, spec.total_qubits, block, angles, None)
     # rows hold evolved basis states, so the unitary is the transpose
-    return basis.swapaxes(-1, -2)
+    return _block_rows(spec.total_qubits, block, angles).swapaxes(-1, -2)
 
 
 def encoding_diagonal(spec: AnsatzSpec, x) -> np.ndarray:
     """Diagonal of the encoding layer after the first trainable block at ``x``.
 
     Only ``RZ`` encodings are diagonal; a ``Serial`` spec raises
-    ``ValueError``.  The phases of every ``enc_rz`` op are summed before a
-    single exponential.
+    ``ValueError``.
     """
-    _, layer = _first_block_and_encoding(spec)
+    layer = _segments(spec)[1]
     if any(op[0] != "enc_rz" for op in layer):
         raise ValueError("only RZ encoding layers are diagonal")
     x = np.asarray(x, dtype=np.float64)
-    n = spec.total_qubits
-    indices = np.arange(1 << n)
-    phases = np.zeros(1 << n)
-    for _, qubit, var, weight in layer:
-        bit = (indices >> (n - qubit)) & 1
-        phases += weight * x[var] * 0.5 * (2 * bit - 1)
-    return np.exp(1j * phases)
+    return _encoding_phases(spec.total_qubits, layer, x[None, :])[0]
 
 
 def init_parameters(spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
@@ -359,6 +396,11 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     ``thetas``: (variants, N_tp); ``xs``: (data, M).  Trainable angles
     broadcast along the data axis and encoding angles along the variant
     axis, so one pass covers every (theta variant, datum) pair.
+
+    The fused mode (every encoding op ``enc_rz`` and ``2**n <= data``)
+    runs the opening block on ``|0>`` once per variant, multiplies in each
+    encoding layer as a (data, 2**n) phase array and applies each later
+    block as one matmul with its dense (variants, 2**n, 2**n) matrix.
     """
     ops, n_params = _program(spec)
     if thetas.shape[1] != n_params:
@@ -368,9 +410,16 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     if not (np.isfinite(thetas).all() and np.isfinite(xs).all()):
         raise ValueError("theta and x entries must be finite")
     n = spec.total_qubits
-    amps = np.zeros((thetas.shape[0], xs.shape[0], 1 << n), dtype=np.complex128)
+    fused = (1 << n) <= xs.shape[0] and all(op[0] == "enc_rz" for op in ops if _is_encoding(op))
+    amps = np.zeros((thetas.shape[0], 1 if fused else xs.shape[0], 1 << n), dtype=np.complex128)
     amps[:, :, 0] = 1.0
-    return _apply_ops(amps, n, ops, thetas, xs)
+    if not fused:
+        return _apply_ops(amps, n, ops, thetas, xs)
+    segments = _segments(spec)
+    amps = _apply_ops(amps, n, segments[0], thetas, None)
+    for layer, block in zip(segments[1::2], segments[2::2]):
+        amps = (amps * _encoding_phases(n, layer, xs)) @ _block_rows(n, block, thetas)
+    return amps
 
 
 def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> np.ndarray:

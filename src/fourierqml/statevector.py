@@ -39,8 +39,14 @@ __all__ = [
 ]
 
 
+def _check_qubit(n_qubits: int, qubit: int) -> None:
+    if not 1 <= qubit <= n_qubits:
+        raise IndexError(f"qubit {qubit} out of range 1..{n_qubits}")
+
+
 def _axis_view(amps: np.ndarray, n_qubits: int, target: int) -> np.ndarray:
     # (..., 2**n) -> (..., 2**(t-1), 2, 2**(n-t)); a view for contiguous input
+    _check_qubit(n_qubits, target)
     lead = amps.shape[:-1]
     return amps.reshape(*lead, 1 << (target - 1), 2, 1 << (n_qubits - target))
 
@@ -81,6 +87,10 @@ def apply_rot(amps: np.ndarray, n_qubits: int, target: int, angle1, angle2, angl
 
 
 def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
+    _check_qubit(n_qubits, control)
+    _check_qubit(n_qubits, target)
+    if control == target:
+        raise ValueError(f"CNOT control and target are both qubit {control}")
     amps = np.ascontiguousarray(amps)
     lead = amps.shape[:-1]
     lo, hi = (control, target) if control < target else (target, control)
@@ -124,8 +134,7 @@ def apply_dense(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tu
 
 def expectation_z(amps: np.ndarray, n_qubits: int, qubit: int):
     """``<Z>`` on ``qubit``; batched over any leading axes of ``amps``."""
-    if not 1 <= qubit <= n_qubits:
-        raise IndexError(f"qubit {qubit} out of range 1..{n_qubits}")
+    _check_qubit(n_qubits, qubit)
     lead = amps.shape[:-1]
     prob = (amps.real**2 + amps.imag**2).reshape(
         *lead, 1 << (qubit - 1), 2, 1 << (n_qubits - qubit)

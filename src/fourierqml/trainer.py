@@ -8,7 +8,9 @@ validates its inputs, keeps its resource counters and hands the loop
 three callables: values and Jacobian on a batch, exact values on the
 training or test data, and coefficient recovery.  The quantum Jacobian
 comes from the parameter-shift rule, evaluated as one batched
-statevector pass per step; the classical Jacobian is the batch's rows of
+``values_and_jacobian`` call per step (fused dense blocks and diagonal
+phases for ``RZ``-encoded circuits with at least ``2**n`` batch points,
+gate by gate otherwise); the classical Jacobian is the batch's rows of
 the precomputed (projected) feature matrix.
 
 Every stochastic choice (parameter initialization, batch selection, shot

@@ -51,3 +51,17 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
         assert span in spans
     silent = [span for span in spans if tracer.calls[span] == 0]
     assert not silent, f"traced spans saw no calls: {silent}"
+
+
+def test_fused_fit_counts_match_the_record(bench_tracer):
+    """A Parallel fit with at least 2**n points runs the fused evaluation;
+    the circuit evaluations the tracer derives from call arguments must
+    equal the record's count, and the kernels must still be called
+    through the traced bindings."""
+    tracer, _ = bench_tracer
+    spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
+                      topology=Parallel(), encoding=exponential_weights(3))
+    record = trainer.train(spec, trainer.make_step_dataset(16), trainer.TrainConfig(steps=3, seed=0))
+    assert tracer.counters["qfflm.circuit_evals"] == record.resource_counters["circuit_evaluations"]
+    for span in ("statevector.apply_ry", "statevector.apply_rz", "statevector.apply_cnot"):
+        assert tracer.calls[span] > 0, span

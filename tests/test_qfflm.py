@@ -5,6 +5,7 @@ structure, and serialization."""
 import numpy as np
 import pytest
 
+from fourierqml import qfflm
 from fourierqml.errors import CapacityError
 from fourierqml.qfflm import (
     AnsatzSpec,
@@ -27,7 +28,7 @@ from fourierqml.qfflm import (
 )
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
-from fourierqml.statevector import expectation_z
+from fourierqml.statevector import expectation_z, sample_expectation_z
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,116 @@ class TestDenseProgram:
     def test_rot_encoding_is_not_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             encoding_diagonal(sample_specs()[2], np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# fused evaluation against the gate path
+# ---------------------------------------------------------------------------
+
+def gate_path_amplitudes(spec, thetas, xs):
+    """Oracle: every op of the program applied to the whole batch from |0>."""
+    ops, _ = qfflm._program(spec)
+    n = spec.total_qubits
+    amps = np.zeros((thetas.shape[0], xs.shape[0], 1 << n), dtype=np.complex128)
+    amps[:, :, 0] = 1.0
+    return qfflm._apply_ops(amps, n, ops, thetas, xs)
+
+
+def shifted_variants(theta):
+    """Base row, then +pi/2 and -pi/2 shifts of each angle in turn."""
+    n_tp = theta.size
+    rows = np.arange(n_tp)
+    shifts = np.zeros((2 * n_tp + 1, n_tp))
+    shifts[1 + rows, rows] = np.pi / 2
+    shifts[1 + n_tp + rows, rows] = -np.pi / 2
+    return theta + shifts
+
+
+FUSED_SPECS = {
+    "parallel": AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
+                           topology=Parallel(), encoding=exponential_weights(3)),
+    "parallel-2var": AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1,
+                                topology=Parallel(), encoding=exponential_weights(2)),
+    "rot": AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1, topology=Parallel(),
+                      encoding=exponential_weights(3), rotation_params=3),
+    "layers-0": AnsatzSpec(n_variables=1, n_qubits=3, n_layers=0,
+                           topology=Parallel(), encoding=exponential_weights(3)),
+    "layers-3": AnsatzSpec(n_variables=1, n_qubits=3, n_layers=3,
+                           topology=Parallel(), encoding=exponential_weights(3)),
+    "measured-1": AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1, topology=Parallel(),
+                             encoding=exponential_weights(2), measured_qubit=1),
+    "ring": AnsatzSpec(n_variables=3, n_qubits=3, n_layers=1, topology=Ring(reuploads=2),
+                       encoding=EncodingSpec(weights=(1, 3))),
+}
+
+
+class TestFusedEvaluation:
+    """With RZ encodings and at least 2**n rows, ``_run_batch`` multiplies
+    dense blocks and diagonal phases; the gate path is its oracle."""
+
+    @pytest.fixture(params=list(FUSED_SPECS), ids=list(FUSED_SPECS))
+    def spec(self, request):
+        return FUSED_SPECS[request.param]
+
+    @staticmethod
+    def inputs(spec, seed, rows=None):
+        rows = (1 << spec.total_qubits) + 3 if rows is None else rows
+        return make_rng(seed).uniform(-np.pi, np.pi, (rows, spec.n_variables))
+
+    def test_values_and_jacobian(self, spec):
+        theta = init_parameters(spec, make_rng(61))
+        xs = self.inputs(spec, 62)
+        values, jac = values_and_jacobian(spec, theta, xs)
+        n_tp = theta.size
+        z = expectation_z(gate_path_amplitudes(spec, shifted_variants(theta), xs),
+                          spec.total_qubits, spec.measured_qubit)
+        np.testing.assert_allclose(values, z[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jac, ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2).T,
+                                   rtol=0, atol=1e-12)
+
+    def test_evaluate_batch(self, spec):
+        theta = init_parameters(spec, make_rng(63))
+        xs = self.inputs(spec, 64)
+        z = expectation_z(gate_path_amplitudes(spec, theta[None, :], xs),
+                          spec.total_qubits, spec.measured_qubit)[0]
+        np.testing.assert_allclose(evaluate_batch(spec, theta, xs), z, rtol=0, atol=1e-12)
+
+    def test_sampled_values_and_jacobian(self, spec):
+        theta = init_parameters(spec, make_rng(65))
+        xs = self.inputs(spec, 66)
+        values, jac = values_and_jacobian(spec, theta, xs, shots=50, rng=make_rng(67))
+        n_tp = theta.size
+        z = sample_expectation_z(gate_path_amplitudes(spec, shifted_variants(theta), xs),
+                                 spec.total_qubits, spec.measured_qubit, 50, make_rng(67))
+        np.testing.assert_allclose(values, z[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jac, ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2).T,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("spare_rows", [-1, 0], ids=["gate", "fused"])
+    def test_path_follows_row_count(self, monkeypatch, spare_rows):
+        """The fused path runs exactly when 2**n <= rows, and both sides
+        of that boundary give the oracle's values."""
+        spec = FUSED_SPECS["parallel"]
+        calls = []
+        phases = qfflm._encoding_phases
+        monkeypatch.setattr(qfflm, "_encoding_phases",
+                            lambda *args: calls.append(args) or phases(*args))
+        theta = init_parameters(spec, make_rng(68))
+        xs = self.inputs(spec, 69, rows=(1 << spec.total_qubits) + spare_rows)
+        got = evaluate_batch(spec, theta, xs)
+        assert bool(calls) == (spare_rows >= 0)
+        z = expectation_z(gate_path_amplitudes(spec, theta[None, :], xs),
+                          spec.total_qubits, spec.measured_qubit)[0]
+        np.testing.assert_allclose(got, z, rtol=0, atol=1e-12)
+
+    def test_rot_encoding_keeps_gate_path(self, monkeypatch):
+        spec = sample_specs()[2]
+        monkeypatch.setattr(qfflm, "_encoding_phases", None)  # any call would fail
+        theta = init_parameters(spec, make_rng(70))
+        xs = self.inputs(spec, 71, rows=64)
+        z = expectation_z(gate_path_amplitudes(spec, theta[None, :], xs),
+                          spec.total_qubits, spec.measured_qubit)[0]
+        np.testing.assert_array_equal(evaluate_batch(spec, theta, xs), z)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +499,41 @@ class TestFourierCoefficients:
             np.testing.assert_allclose(
                 fc.synthesize(xs), evaluate_batch(spec, theta, xs), atol=1e-9
             )
+
+    @pytest.mark.parametrize("spec", [
+        FUSED_SPECS["parallel"],
+        FUSED_SPECS["rot"],
+        FUSED_SPECS["parallel-2var"],
+        FUSED_SPECS["measured-1"],
+    ], ids=["parallel", "rot", "parallel-2var", "measured-1"])
+    def test_closed_form_coefficients(self, spec):
+        """f(x) = a^dag D(x)^dag O D(x) a with a = W1|0>, O = W2^dag Z W2 and
+        D(x)_jj = exp(i lambda_j . x), so the coefficient of exp(-i w.x) is
+        the sum of conj(a_j) O_jk a_k over lambda_j - lambda_k = w."""
+        theta = init_parameters(spec, make_rng(44))
+        half = theta.size // 2
+        w1, w2 = block_unitaries(spec, np.stack([theta[:half], theta[half:]]))
+        n = spec.total_qubits
+        index = np.arange(1 << n)
+        bits = [(index >> (n - q)) & 1 for q in range(1, n + 1)]
+        # twice the eigenphase per variable, an integer on every basis state
+        two_lam = np.stack([
+            sum(w * (2 * bits[(m - 1) * spec.n_qubits + k] - 1)
+                for k, w in enumerate(spec.encoding[m - 1].weights))
+            for m in range(1, spec.n_variables + 1)
+        ], axis=-1)
+        z = 1.0 - 2.0 * bits[spec.measured_qubit - 1]
+        a = w1[:, 0]
+        o = w2.conj().T @ (z[:, None] * w2)
+        terms = a.conj()[:, None] * o * a[None, :]
+        fc = fourier_coefficients(spec, theta)
+        expected = np.zeros_like(fc.values)
+        offsets = [int(-s[0]) for s in fc.supports]
+        for j in range(1 << n):
+            for k in range(1 << n):
+                omega = (two_lam[j] - two_lam[k]) // 2
+                expected[tuple(int(w) + o for w, o in zip(omega, offsets))] += terms[j, k]
+        np.testing.assert_allclose(fc.values, expected, rtol=0, atol=1e-12)
 
     def test_grid_capacity(self):
         spec = sample_specs()[3]

@@ -77,6 +77,22 @@ class TestGateValidation:
         with pytest.raises(IndexError):
             expectation_z(amps, 2, 0)
 
+    @pytest.mark.parametrize("kernel", [
+        lambda amps, q: apply_ry(amps, 2, q, 0.1),
+        lambda amps, q: apply_rz(amps, 2, q, 0.1),
+        lambda amps, q: apply_rot(amps, 2, q, 0.1, 0.2, 0.3),
+        lambda amps, q: apply_cnot(amps, 2, q, 1),
+        lambda amps, q: apply_cnot(amps, 2, 1, q),
+    ], ids=["ry", "rz", "rot", "cnot-control", "cnot-target"])
+    @pytest.mark.parametrize("qubit", [0, 3])
+    def test_kernel_qubit_out_of_range(self, kernel, qubit):
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            kernel(zero_state(2), qubit)
+
+    def test_cnot_control_equals_target(self):
+        with pytest.raises(ValueError, match="control and target"):
+            apply_cnot(zero_state(2), 2, 1, 1)
+
 
 # ---------------------------------------------------------------------------
 # single-qubit kernels vs dense oracle
