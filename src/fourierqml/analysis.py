@@ -20,7 +20,7 @@ state the symbolic form so callers can rescale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from .qfflm import (  # count_gates is re-exported
     param_count,
 )
 from .spectra import exponential_weights
-from .statevector import apply_ry, haar_unitary
+from .statevector import apply_ry, expectation_z, haar_unitary
 
 __all__ = [
     "count_gates",
@@ -147,12 +147,7 @@ class ResourceReport:
     crossing_eps: float
 
     def to_dict(self) -> dict:
-        return {
-            "N_gt": self.N_gt, "N_tp": self.N_tp, "eps": self.eps,
-            "resrc_q": self.resrc_q, "K": self.K, "M": self.M,
-            "resrc_c": self.resrc_c, "advantage": self.advantage,
-            "crossing_eps": self.crossing_eps,
-        }
+        return asdict(self)
 
 
 def resource_report(
@@ -205,10 +200,7 @@ class VarianceBound:
     gamma: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d, "case": self.case, "bound": self.bound,
-            "grad_second_moment": self.grad_second_moment, "gamma": self.gamma,
-        }
+        return asdict(self)
 
 
 def variance_bounds(d: int, case: str) -> VarianceBound:
@@ -307,9 +299,15 @@ def plateau_stats(
     The differentiated parameter sits at the very first rotation
     (``grad_case='II'``), at the final rotation on the measured qubit
     (``'III'``), or between two trainable blocks in the bulk (``'I'``,
-    which inserts a third random block).  Gradients use the exact
-    two-point parameter-shift rule; the loss gradient assumes target 0
-    at the sampled point.
+    which inserts a third random block ``Wb``).  Every case runs the same
+    propagation: ``|0>`` passes through the blocks ``before`` the
+    differentiated RY (none for II, ``Wb`` for I, ``W1, S, W2`` for III),
+    is stacked with its two ``RY(+-pi/2)`` shifts (on qubit 1, or on the
+    measured qubit for III), and the three rows pass through the blocks
+    ``after`` it (``W1, S, W2`` for I and II, none for III).  One
+    ``expectation_z`` readout gives the value and the exact two-point
+    parameter-shift gradient; the loss gradient assumes target 0 at the
+    sampled point.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -331,8 +329,9 @@ def plateau_stats(
     spec = AnsatzSpec(n_variables, n_qubits, n_layers, Parallel(), exponential_weights(n_qubits))
     n_block = param_count(spec) // 2  # W1 and W2 of a Parallel spec have the same layout
     d = 1 << total
-    signs = np.where((np.arange(d) & 1) == 0, 1.0, -1.0)
     phases = encoding_diagonal(spec, x)
+    zero = np.eye(1, d, dtype=np.complex128)  # |0...0> as a row
+    shifted_qubit = total if grad_case == "III" else 1
 
     def draw_block(size: int) -> np.ndarray:
         if mode == "haar":
@@ -340,49 +339,33 @@ def plateau_stats(
         # one row of draws per angle, so each angle's batch is drawn in turn
         return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, size)).T)
 
-    def shift(states: np.ndarray, qubit: int, angle: float) -> np.ndarray:
-        return apply_ry(states.copy(), total, qubit, angle)
+    def propagate(states: np.ndarray, blocks: list) -> np.ndarray:
+        # row-vector states: a dense block W acts as psi @ W^T, S(x) as phases
+        for block in blocks:
+            states = states * block if block.ndim == 1 else states @ block.swapaxes(-1, -2)
+        return states
 
-    f_samples, grad_samples = [], []
-    batch = max(1, min(1024, (1 << 21) // (d * d)))
-    remaining = trials
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
+    def sample(b: int) -> tuple[np.ndarray, np.ndarray]:
+        # a scope per batch, so its blocks are freed before the next batch is drawn
         w1 = draw_block(b)
         w2 = draw_block(b)
+        circuit = [w1, phases, w2]
         if grad_case == "I":
-            wb = draw_block(b)
+            before, after = [draw_block(b)], circuit
+        elif grad_case == "II":
+            before, after = [], circuit
+        else:
+            before, after = circuit, []
+        states = propagate(zero, before)
+        rows = [states] + [apply_ry(states.copy(), total, shifted_qubit, angle)
+                           for angle in (math.pi / 2.0, -math.pi / 2.0)]
+        z = expectation_z(propagate(np.concatenate(rows, axis=-2), after), total, total)
+        return z[..., 0], 0.5 * (z[..., 1] - z[..., 2])
 
-        def z_expectation(states: np.ndarray) -> np.ndarray:
-            return (signs * np.abs(states) ** 2).sum(axis=-1)
-
-        if grad_case == "II":
-            # theta is the opening rotation: evolve shifted basis states
-            # through the whole circuit.  RY(+-pi/2) on qubit 1 of |0> mixes
-            # only basis columns 0 and d/2, so only those are carried.
-            cols = w2 @ (phases[:, None] * w1[..., :, [0, d // 2]])
-            base = cols[..., 0]
-            plus = (cols[..., 0] + cols[..., 1]) / math.sqrt(2.0)
-            minus = (cols[..., 0] - cols[..., 1]) / math.sqrt(2.0)
-        elif grad_case == "III":
-            chi = np.einsum("bij,bj->bi", w2, phases * w1[..., :, 0])
-            base = chi
-            plus = shift(chi, total, math.pi / 2.0)
-            minus = shift(chi, total, -math.pi / 2.0)
-        else:  # bulk parameter between two trainable blocks
-            v = wb[..., :, 0]
-            tail = w2 * phases[None, None, :]  # w2 @ diag(phases)
-            base = np.einsum("bij,bjk,bk->bi", tail, w1, v)
-            plus = np.einsum("bij,bjk,bk->bi", tail, w1, shift(v, 1, math.pi / 2.0))
-            minus = np.einsum("bij,bjk,bk->bi", tail, w1, shift(v, 1, -math.pi / 2.0))
-        f = z_expectation(base)
-        grad = 0.5 * (z_expectation(plus) - z_expectation(minus))
-        f_samples.append(f)
-        grad_samples.append(grad)
-
-    f = np.concatenate(f_samples)
-    grad = np.concatenate(grad_samples)
+    batch = max(1, min(1024, (1 << 21) // (d * d)))
+    f, grad = np.concatenate(
+        [sample(min(batch, trials - start)) for start in range(0, trials, batch)], axis=-1
+    )
     loss_grad = 2.0 * f * grad
     bound = variance_bounds(d, grad_case)
 

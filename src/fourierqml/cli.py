@@ -3,7 +3,8 @@
 One-shot queries (``spectrum``) take flags; experiments (``train``,
 ``compare``, ``plateau``, ``resources``, ``bicone``) take a ``--config``
 JSON document with a top-level ``{version, seed, output_dir}``, validated
-strictly against a schema (unknown fields are rejected).  The validated
+strictly against a schema (unknown fields are rejected, and so are the
+non-finite constants ``NaN`` and ``Infinity``).  The validated
 config is archived into the output directory next to the results.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
@@ -161,9 +162,13 @@ _BICONE_SCHEMA = _base_schema(
 
 
 def _load_config(path: str, schema: dict) -> dict:
+    def reject_constant(name: str):
+        # json accepts NaN and +-Infinity, which no numeric schema bound rejects
+        raise ConfigError(f"config {path}: {name} is not a finite number")
+
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_constant=reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

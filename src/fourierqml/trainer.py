@@ -26,7 +26,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -292,19 +292,7 @@ class TrainConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "shots": self.shots,
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "divergence_threshold": self.divergence_threshold,
-            "recover_coefficients": self.recover_coefficients,
-            "allow_sub_nyquist": self.allow_sub_nyquist,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -586,7 +574,8 @@ def load_csv_dataset(
     ``input_range``, the output to ``output_range``); the affine
     parameters land in ``metadata["normalization"]`` so predictions can
     be mapped back.  Constant columns map to the range midpoint with a
-    warning.  Malformed rows raise ``DatasetParseError`` naming the row.
+    warning.  Malformed rows and non-finite cells (``nan``, ``inf``) raise
+    ``DatasetParseError`` naming the row and the column.
     """
     columns = list(input_cols) + [output_col]
     with open(path, newline="", encoding="utf-8") as handle:
@@ -608,10 +597,17 @@ def load_csv_dataset(
                 raise DatasetParseError(
                     f"row {row_number}: expected {len(header)} fields, got {len(row)}"
                 )
-            try:
-                rows.append([float(row[positions[name]]) for name in columns])
-            except ValueError as exc:
-                raise DatasetParseError(f"row {row_number}: {exc}") from None
+            values = []
+            for name in columns:
+                where = f"row {row_number}, column {name!r}"
+                try:
+                    value = float(row[positions[name]])
+                except ValueError as exc:
+                    raise DatasetParseError(f"{where}: {exc}") from None
+                if not np.isfinite(value):
+                    raise DatasetParseError(f"{where}: {value} is not a finite number")
+                values.append(value)
+            rows.append(values)
     if not rows:
         raise DatasetParseError("row 2: no data rows")
     raw = np.asarray(rows)

@@ -21,9 +21,10 @@ from fourierqml.analysis import (
 )
 from fourierqml.cfflm import FeatureMap
 from fourierqml.errors import CapacityError
-from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial
+from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, block_unitaries, param_count
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
+from fourierqml.statevector import haar_unitary
 
 
 def parallel_spec(n_layers, n_variables=1, n_qubits=4, rotation_params=2):
@@ -234,6 +235,70 @@ class TestPlateauStats:
         b = plateau_stats(1, 2, 500, make_rng(9))
         assert a.mean_f == b.mean_f
         assert a.mean_sq_grad == b.mean_sq_grad
+
+    @pytest.mark.parametrize("mode", ["haar", "circuit"])
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n_variables, n_qubits", [(1, 1), (1, 3), (2, 1)])
+    def test_matches_per_trial_matrix_oracle(self, n_variables, n_qubits, case, mode):
+        """Replay the blocks from the same seed, build every circuit as
+        explicit d x d matrices and apply the shift rule trial by trial."""
+        trials, seed = 100, (13, n_variables, n_qubits)
+        x = np.array([0.7, -1.3][:n_variables])
+        report = plateau_stats(n_variables, n_qubits, trials, make_rng(seed),
+                               mode=mode, grad_case=case, x=x)
+
+        n = n_variables * n_qubits
+        d = 2**n
+        spec = AnsatzSpec(n_variables, n_qubits, 2, Parallel(), exponential_weights(n_qubits))
+        rng = make_rng(seed)
+
+        def draw():  # 100 trials are one batch, so each block is one draw
+            if mode == "haar":
+                return haar_unitary(d, rng, size=trials)
+            n_block = param_count(spec) // 2
+            return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, trials)).T)
+
+        w1, w2 = draw(), draw()
+        wb = draw() if case == "I" else None
+
+        def on_qubit(gate, q):
+            return np.kron(np.kron(np.eye(2 ** (q - 1)), gate), np.eye(2 ** (n - q)))
+
+        def ry(q, angle):
+            c, s = np.cos(angle / 2), np.sin(angle / 2)
+            return on_qubit(np.array([[c, -s], [s, c]]), q)
+
+        encoding = np.eye(1)
+        for value in x:
+            for k in range(n_qubits):  # RZ(3**k x) on the variable's k-th qubit
+                half = 0.5j * 3**k * value
+                encoding = np.kron(encoding, np.diag(np.exp([-half, half])))
+        z_last = on_qubit(np.diag([1.0, -1.0]), n)
+
+        f, grad = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            body = w2[t] @ encoding @ w1[t]
+
+            def value(theta):
+                if case == "I":
+                    circuit = body @ ry(1, theta) @ wb[t]
+                elif case == "II":
+                    circuit = body @ ry(1, theta)
+                else:
+                    circuit = ry(n, theta) @ body
+                psi = circuit[:, 0]  # the circuit applied to |0...0>
+                return float(np.real(np.conj(psi) @ z_last @ psi))
+
+            f[t] = value(0.0)
+            grad[t] = 0.5 * (value(np.pi / 2) - value(-np.pi / 2))
+
+        loss_grad = 2.0 * f * grad
+        expected = {
+            "mean_f": f.mean(), "var_f": f.var(ddof=1),
+            "mean_sq_grad": (grad**2).mean(), "var_loss_grad": loss_grad.var(ddof=1),
+        }
+        for name, want in expected.items():
+            assert getattr(report, name) == pytest.approx(want, rel=1e-12, abs=1e-12), name
 
     def test_validation(self):
         with pytest.raises(ValueError):

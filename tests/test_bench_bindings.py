@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` wraps package functions at the module bindings
 their callers look them up through and aborts if one is missing.  Small
-quantum and classical fits, a plateau sample and a CLI query run under
-the tracer here, so a refactor that drops a traced binding, or stops
-calling through it, fails in this suite rather than in the benchmark.
+quantum and classical fits, plateau samples (every gradient case, both
+modes) and a CLI query run under the tracer here, so a refactor that
+drops a traced binding, or stops calling through it, fails in this suite
+rather than in the benchmark.
 """
 
 import importlib
@@ -44,7 +45,15 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
     fm = FeatureMap(n_variables=1, degrees=(2,))
     trainer.train(ClassicalModel(coefficients=np.zeros(fm.dimension)), data, cfg,
                   feature_map=fm)
-    analysis.plateau_stats(1, 2, 100, make_rng(0))
+    for mode in ("haar", "circuit"):
+        for case in ("I", "II", "III"):
+            plateau_calls = tracer.calls["analysis.plateau_stats"]
+            haar_calls = tracer.calls["statevector.haar_unitary"]
+            analysis.plateau_stats(1, 2, 100, make_rng(0), mode=mode, grad_case=case)
+            assert tracer.calls["analysis.plateau_stats"] == plateau_calls + 1
+            # 100 trials are one batch: W1, W2 and, in the bulk case, Wb
+            draws = (3 if case == "I" else 2) if mode == "haar" else 0
+            assert tracer.calls["statevector.haar_unitary"] == haar_calls + draws, (mode, case)
     assert cli.main(["spectrum", "--exp", "2", "--output", str(tmp_path / "s.json")]) == 0
     for span in ("trainer.train_q", "trainer.train_c", "trainer.adam_step",
                  "qfflm.values_and_jacobian", "statevector.haar_unitary"):

@@ -239,6 +239,31 @@ class TestBiconeCommand:
         assert header == "c1,c2,c3,boundary_margin,analytic,numeric"
 
 
+class TestNonFiniteConstants:
+    """NaN and Infinity parse as JSON numbers but are config errors."""
+
+    def test_nan_learning_rate(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        doc = quantum_train_config(out, learning_rate=float("nan"))
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_target_ratio(self, tmp_path, capsys):
+        doc = quantum_train_config(tmp_path / "run")
+        doc["target"]["r"] = float("inf")
+        assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
+        assert "Infinity" in capsys.readouterr().err
+
+    def test_nan_resources_eps(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "version": "resources-v1", "seed": 0, "output_dir": str(tmp_path / "res"),
+            "K": 81, "M": 1, "eps": float("nan"), "N_tp": 16, "gate_counts": [4],
+        })
+        assert main(["resources", "--config", config]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+
 class TestHelpText:
     """Subcommand --help must document every config field by name."""
 

@@ -454,6 +454,16 @@ class TestCsvDataset:
         with pytest.raises(DatasetParseError, match="row 3"):
             load_csv_dataset(path, ["a"], "y")
 
+    @pytest.mark.parametrize("text, where", [
+        ("a,y\n1,2\nnan,3\n2,inf\n", "row 3, column 'a'"),
+        ("a,y\n1,2\n2,inf\n", "row 3, column 'y'"),
+        ("a,y\n-Infinity,2\n2,3\n", "row 2, column 'a'"),
+    ])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, text, where):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DatasetParseError, match=where):
+            load_csv_dataset(path, ["a"], "y")
+
     def test_short_row_names_line(self, tmp_path):
         path = self._write(tmp_path, "a,y\n1\n")
         with pytest.raises(DatasetParseError, match="row 2"):
