@@ -27,21 +27,17 @@ Trainable blocks are hardware-efficient: ``n_layers`` repetitions of
 per-qubit rotations (RY then RZ with ``rotation_params=2``, or a full
 ``Rot`` with 3) followed by a CNOT line (ring for ``Ring``).
 
-All evaluation goes through one batched pass that returns amplitude
-arrays of shape ``(theta_variants, data_points, 2**n)``; the
-parameter-shift Jacobian over a whole dataset is therefore a single
-call.  The pass has two modes, chosen by a fixed rule:
-
-* fused, when every encoding op is a diagonal ``RZ`` (``Parallel``,
-  ``Ring``) and ``2**n <= data_points``: each trainable block becomes one
-  dense ``(theta_variants, 2**n, 2**n)`` matrix, built by running its
-  gates on the basis states, and the data enter only as diagonal phase
-  arrays between the blocks.  The matrices are never larger than the
-  amplitude batch;
-* gate by gate otherwise (``Serial``, whose ``Rot`` encoding is not
-  diagonal, and batches with fewer than ``2**n`` points): every gate
-  acts on the whole amplitude batch.  Tests use this mode as the oracle
-  for the fused one.
+All evaluation goes through one gate-by-gate pass over amplitude arrays
+of shape ``(theta_variants, data_points, 2**n)``: every gate of the
+compiled program acts on the whole batch.  Exact Jacobians come from
+adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
+pass to the final states and one backward pass that undoes the gates in
+reverse, carrying the states together with ``Z_measured`` applied to
+them and reading each trainable angle's derivative on the way.  With
+finite shots every circuit of the parameter-shift rule is a separately
+sampled measurement, so the ``2 N_tp + 1`` shifted variants run as one
+batch; the same shift rule is the exact-gradient oracle
+(``gradient_parameter_shift``).
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import takewhile
 from math import prod
 
 import numpy as np
@@ -59,7 +55,6 @@ from .spectra import EncodingSpec, FrequencySpectrum, spectrum
 from .statevector import (
     MAX_QUBITS,
     apply_cnot,
-    apply_rot,
     apply_ry,
     apply_rz,
     expectation_z,
@@ -223,15 +218,18 @@ class AnsatzSpec:
 # ---------------------------------------------------------------------------
 # circuit program
 # ---------------------------------------------------------------------------
-# Circuits compile to a flat op tuple interpreted by the batched runner:
+# Circuits compile to a flat tuple of single gates, interpreted by
+# ``_apply_ops``:
 #   ("ry"|"rz", qubit, theta_index)
-#   ("rot", qubit, (i1, i2, i3))            three theta indices, Z-Y-Z
-#   ("enc_rz", qubit, var_index, weight)    RZ(weight * x[var])
-#   ("enc_rot", qubit, (v1, v2, v3), weight)
+#   ("enc_ry"|"enc_rz", qubit, var_index, weight)    R(weight * x[var])
 #   ("cnot", control, target)
+# A three-angle rotation Rot(a1, a2, a3) = RZ(a1) RY(a2) RZ(a3), trainable
+# or encoding, is emitted as its three gates, RZ(a3) first.  The inverse
+# of every op is the same op at negated angles.
 # Trainable parameter indices are allocated in emission order, which fixes
 # the public flat layout of theta: blocks in circuit order, layers within
-# a block, qubits within a layer, rotation angles within a qubit.
+# a block, qubits within a layer, rotation angles (a1, a2, a3) within a
+# qubit.
 
 
 def _emit_trainable_block(ops: list, spec: AnsatzSpec, qubits: range, entangler: list, start: int) -> int:
@@ -239,12 +237,10 @@ def _emit_trainable_block(ops: list, spec: AnsatzSpec, qubits: range, entangler:
     for _ in range(spec.n_layers):
         for q in qubits:
             if spec.rotation_params == 2:
-                ops.append(("ry", q, idx))
-                ops.append(("rz", q, idx + 1))
-                idx += 2
+                ops += [("ry", q, idx), ("rz", q, idx + 1)]
             else:
-                ops.append(("rot", q, (idx, idx + 1, idx + 2)))
-                idx += 3
+                ops += [("rz", q, idx + 2), ("ry", q, idx + 1), ("rz", q, idx)]
+            idx += spec.rotation_params
         for control, target in entangler:
             ops.append(("cnot", control, target))
     return idx
@@ -277,7 +273,8 @@ def _program(spec: AnsatzSpec) -> tuple[tuple, int]:
                 base = enc_layer * per_layer
                 for q in qubits:
                     v = base + (q - 1) * 3
-                    ops.append(("enc_rot", q, (v, v + 1, v + 2), weight))
+                    ops += [("enc_rz", q, v + 2, weight), ("enc_ry", q, v + 1, weight),
+                            ("enc_rz", q, v, weight)]
                 idx = _emit_trainable_block(ops, spec, qubits, entangler, idx)
     else:  # Ring
         idx = _emit_trainable_block(ops, spec, qubits, entangler, 0)
@@ -294,62 +291,25 @@ def param_count(spec: AnsatzSpec) -> int:
     return _program(spec)[1]
 
 
-_GATE_WEIGHTS = {"ry": 1, "rz": 1, "rot": 3, "enc_rz": 1, "enc_rot": 3, "cnot": 1}
-
-
 def count_gates(spec: AnsatzSpec) -> int:
     """Number of single-qubit rotations plus CNOTs in the compiled circuit.
 
-    Three-angle rotations count as three single-qubit gates, two-angle
-    per-qubit rotations as two, and every encoding rotation by its same
-    decomposition.  A spec with ``n_layers=0`` counts encoding gates only.
+    Three-angle rotations, trainable or encoding, count as their three
+    single-qubit gates.  A spec with ``n_layers=0`` counts encoding gates
+    only.
     """
-    ops, _ = _program(spec)
-    return sum(_GATE_WEIGHTS[op[0]] for op in ops)
+    return len(_program(spec)[0])
 
 
 def _is_encoding(op: tuple) -> bool:
     return op[0].startswith("enc_")
 
 
-@lru_cache(maxsize=None)
-def _segments(spec: AnsatzSpec) -> tuple[tuple, ...]:
-    """The program cut into ``(block, layer, block, ..., layer, block)``.
-
-    Even entries are trainable blocks (possibly empty), odd entries the
-    runs of encoding ops between them.
-    """
+def _opening(spec: AnsatzSpec) -> tuple[tuple, tuple]:
+    """The first trainable block and the run of encoding ops after it."""
     ops, _ = _program(spec)
-    runs = [tuple(run) for _, run in groupby(ops, key=_is_encoding)]
-    if _is_encoding(ops[0]):
-        runs.insert(0, ())
-    if len(runs) % 2 == 0:
-        runs.append(())
-    return tuple(runs)
-
-
-def _block_rows(n: int, block: tuple, thetas: np.ndarray) -> np.ndarray:
-    """Row ``j`` of entry ``v`` is ``U_v |j>``: shape (variants, 2**n, 2**n).
-
-    The block's ops run on the ``2**n`` basis states at once, so a batch
-    of row-vector states ``psi`` is evolved by ``psi @ rows``.
-    """
-    d = 1 << n
-    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (thetas.shape[0], d, d)).copy()
-    return _apply_ops(basis, n, block, thetas, None)
-
-
-def _encoding_phases(n: int, layer: tuple, xs: np.ndarray) -> np.ndarray:
-    """Diagonal of an ``enc_rz`` layer at every input row: shape (data, 2**n).
-
-    The phases of every op are summed before a single exponential.
-    """
-    indices = np.arange(1 << n)
-    phases = np.zeros((xs.shape[0], 1 << n))
-    for _, qubit, var, weight in layer:
-        bit = (indices >> (n - qubit)) & 1
-        phases += (weight * xs[:, var] * 0.5)[:, None] * (2 * bit - 1)
-    return np.exp(1j * phases)
+    block = tuple(takewhile(lambda op: not _is_encoding(op), ops))
+    return block, tuple(takewhile(_is_encoding, ops[len(block):]))
 
 
 def block_unitaries(spec: AnsatzSpec, angles: np.ndarray) -> np.ndarray:
@@ -359,26 +319,36 @@ def block_unitaries(spec: AnsatzSpec, angles: np.ndarray) -> np.ndarray:
     trainable angles in the flat theta order.  Returns shape
     ``(size, 2**n, 2**n)``.
     """
-    block = _segments(spec)[0]
+    block, _ = _opening(spec)
     angles = np.asarray(angles, dtype=np.float64)
-    n_block = sum(len(op[2]) if op[0] == "rot" else 1 for op in block if op[0] != "cnot")
+    n_block = sum(op[0] != "cnot" for op in block)
     if angles.ndim != 2 or angles.shape[1] != n_block:
         raise ValueError(f"angles must have shape (size, {n_block}), got {angles.shape}")
-    # rows hold evolved basis states, so the unitary is the transpose
-    return _block_rows(spec.total_qubits, block, angles).swapaxes(-1, -2)
+    # the block's ops run on the 2**n basis states at once: row j of entry
+    # v is U_v |j>, so the unitary is the transpose
+    d = 1 << spec.total_qubits
+    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (angles.shape[0], d, d)).copy()
+    return _apply_ops(basis, spec.total_qubits, block, angles, None).swapaxes(-1, -2)
 
 
 def encoding_diagonal(spec: AnsatzSpec, x) -> np.ndarray:
     """Diagonal of the encoding layer after the first trainable block at ``x``.
 
     Only ``RZ`` encodings are diagonal; a ``Serial`` spec raises
-    ``ValueError``.
+    ``ValueError``.  The phases of every op are summed before a single
+    exponential.
     """
-    layer = _segments(spec)[1]
+    _, layer = _opening(spec)
     if any(op[0] != "enc_rz" for op in layer):
         raise ValueError("only RZ encoding layers are diagonal")
     x = np.asarray(x, dtype=np.float64)
-    return _encoding_phases(spec.total_qubits, layer, x[None, :])[0]
+    n = spec.total_qubits
+    indices = np.arange(1 << n)
+    phases = np.zeros(1 << n)
+    for _, qubit, var, weight in layer:
+        bit = (indices >> (n - qubit)) & 1
+        phases += weight * x[var] * 0.5 * (2 * bit - 1)
+    return np.exp(1j * phases)
 
 
 def init_parameters(spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
@@ -396,11 +366,6 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     ``thetas``: (variants, N_tp); ``xs``: (data, M).  Trainable angles
     broadcast along the data axis and encoding angles along the variant
     axis, so one pass covers every (theta variant, datum) pair.
-
-    The fused mode (every encoding op ``enc_rz`` and ``2**n <= data``)
-    runs the opening block on ``|0>`` once per variant, multiplies in each
-    encoding layer as a (data, 2**n) phase array and applies each later
-    block as one matmul with its dense (variants, 2**n, 2**n) matrix.
     """
     ops, n_params = _program(spec)
     if thetas.shape[1] != n_params:
@@ -410,16 +375,9 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     if not (np.isfinite(thetas).all() and np.isfinite(xs).all()):
         raise ValueError("theta and x entries must be finite")
     n = spec.total_qubits
-    fused = (1 << n) <= xs.shape[0] and all(op[0] == "enc_rz" for op in ops if _is_encoding(op))
-    amps = np.zeros((thetas.shape[0], 1 if fused else xs.shape[0], 1 << n), dtype=np.complex128)
+    amps = np.zeros((thetas.shape[0], xs.shape[0], 1 << n), dtype=np.complex128)
     amps[:, :, 0] = 1.0
-    if not fused:
-        return _apply_ops(amps, n, ops, thetas, xs)
-    segments = _segments(spec)
-    amps = _apply_ops(amps, n, segments[0], thetas, None)
-    for layer, block in zip(segments[1::2], segments[2::2]):
-        amps = (amps * _encoding_phases(n, layer, xs)) @ _block_rows(n, block, thetas)
-    return amps
+    return _apply_ops(amps, n, ops, thetas, xs)
 
 
 def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> np.ndarray:
@@ -428,31 +386,39 @@ def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> 
     Trainable angles come from ``thetas[:, i]`` along the variant axis
     and encoding angles from ``xs[:, j]`` along the data axis.
     """
-
-    def tcol(i):
-        return thetas[:, i][:, None]
-
-    def xcol(j):
-        return xs[:, j][None, :]
-
     for op in ops:
         kind = op[0]
         if kind == "ry":
-            amps = apply_ry(amps, n, op[1], tcol(op[2]))
+            amps = apply_ry(amps, n, op[1], thetas[:, op[2]][:, None])
         elif kind == "rz":
-            amps = apply_rz(amps, n, op[1], tcol(op[2]))
-        elif kind == "rot":
-            i1, i2, i3 = op[2]
-            amps = apply_rot(amps, n, op[1], tcol(i1), tcol(i2), tcol(i3))
+            amps = apply_rz(amps, n, op[1], thetas[:, op[2]][:, None])
+        elif kind == "enc_ry":
+            amps = apply_ry(amps, n, op[1], op[3] * xs[:, op[2]][None, :])
         elif kind == "enc_rz":
-            amps = apply_rz(amps, n, op[1], op[3] * xcol(op[2]))
-        elif kind == "enc_rot":
-            v1, v2, v3 = op[2]
-            w = op[3]
-            amps = apply_rot(amps, n, op[1], w * xcol(v1), w * xcol(v2), w * xcol(v3))
+            amps = apply_rz(amps, n, op[1], op[3] * xs[:, op[2]][None, :])
         else:  # cnot
             amps = apply_cnot(amps, n, op[1], op[2])
     return amps
+
+
+def _shift_rule(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray, shots: int | None, rng) -> tuple:
+    """Values and parameter-shift Jacobian from ``2 N_tp + 1`` circuits.
+
+    The base circuit and the +pi/2 and -pi/2 shifts of each angle run as
+    one variant batch; with ``shots`` set every circuit value is a
+    finite-shot estimate drawn from ``rng``.
+    """
+    n_tp = theta.shape[0]
+    variants = np.tile(theta, (2 * n_tp + 1, 1))
+    rows = np.arange(n_tp)
+    variants[1 + rows, rows] += np.pi / 2
+    variants[1 + n_tp + rows, rows] -= np.pi / 2
+    amps = _run_batch(spec, variants, xs)
+    if shots is None:
+        z = expectation_z(amps, spec.total_qubits, spec.measured_qubit)
+    else:
+        z = sample_expectation_z(amps, spec.total_qubits, spec.measured_qubit, shots, rng)
+    return z[0], ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2.0).T
 
 
 def _as_theta(spec: AnsatzSpec, theta) -> np.ndarray:
@@ -497,9 +463,11 @@ def evaluate_sampled(spec: AnsatzSpec, theta, x, shots: int, rng: np.random.Gene
     """Finite-shot estimate of ``evaluate``; unbiased, binomial shot noise."""
     theta = _as_theta(spec, theta)
     xs = _as_inputs(spec, x)
+    if xs.shape[0] != 1:
+        raise ValueError("evaluate_sampled takes a single input point")
     amps = _run_batch(spec, theta[None, :], xs)
     est = sample_expectation_z(amps, spec.total_qubits, spec.measured_qubit, shots, rng)
-    return float(np.asarray(est).reshape(-1)[0])
+    return float(est[0, 0])
 
 
 def values_and_jacobian(
@@ -509,30 +477,43 @@ def values_and_jacobian(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Model values and the full parameter-shift Jacobian over a dataset.
+    """Model values and their Jacobian in theta over a dataset.
 
     Returns ``(values, jac)`` with shapes ``(n,)`` and ``(n, N_tp)``.
-    The ``2 N_tp + 1`` parameter variants (base, +pi/2 and -pi/2 shifts
-    of each angle) are evaluated as one batch.  With ``shots`` set, every
-    circuit value (base and shifted) is replaced by a finite-shot
-    estimate drawn from ``rng``.
+    Exact values come with the adjoint Jacobian: one forward and one
+    backward pass over the data, with no shifted circuits.  With
+    ``shots`` set, every value is a finite-shot estimate drawn from
+    ``rng``, and the Jacobian is the parameter-shift rule over the
+    ``2 N_tp + 1`` sampled circuits (base, +pi/2 and -pi/2 shifts of
+    each angle), as hardware would measure it.
     """
     theta = _as_theta(spec, theta)
     xs = _as_inputs(spec, xs)
-    n_tp = theta.shape[0]
-    variants = np.tile(theta, (2 * n_tp + 1, 1))
-    rows = np.arange(n_tp)
-    variants[1 + rows, rows] += np.pi / 2
-    variants[1 + n_tp + rows, rows] -= np.pi / 2
-    if shots is not None and rng is None:
-        raise ValueError("sampled evaluation needs an rng")
-    amps = _run_batch(spec, variants, xs)
-    if shots is None:
-        z = expectation_z(amps, spec.total_qubits, spec.measured_qubit)
-    else:
-        z = sample_expectation_z(amps, spec.total_qubits, spec.measured_qubit, shots, rng)
-    values = z[0]
-    jac = ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2.0).T
+    if shots is not None:
+        if rng is None:
+            raise ValueError("sampled evaluation needs an rng")
+        return _shift_rule(spec, theta, xs, shots, rng)
+    # Adjoint pass.  With phi the state after a trainable gate R_G(t) and
+    # lam = Z_measured phi_final carried back to the same point,
+    # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the program
+    # in reverse, each gate's derivative is read, then the gate is undone
+    # on the (phi, lam) pair.
+    ops, n_tp = _program(spec)
+    n, measured = spec.total_qubits, spec.measured_qubit
+    thetas = theta[None, :]
+    phi = _run_batch(spec, thetas, xs)
+    values = expectation_z(phi, n, measured)[0]
+    z = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - measured)) & 1)
+    pair = np.concatenate([phi, z * phi])
+    generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
+    jac = np.zeros((xs.shape[0], n_tp))
+    for k in range(len(ops) - 1, -1, -1):
+        op = ops[k]
+        if op[0] in ("ry", "rz"):
+            g = _apply_ops(pair[:1].copy(), n, (op,), generator, None)[0]
+            jac[:, op[2]] = (pair[1].conj() * g).real.sum(axis=-1)
+        if k:  # the first gate needs no undoing
+            pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
     return values, jac
 
 
@@ -543,11 +524,11 @@ def gradient_parameter_shift(spec: AnsatzSpec, theta, x) -> np.ndarray:
     which is exact because every trainable rotation has a Pauli generator
     with eigenvalues +-1/2.
     """
+    theta = _as_theta(spec, theta)
     xs = _as_inputs(spec, x)
     if xs.shape[0] != 1:
         raise ValueError("gradient_parameter_shift takes a single input point")
-    _, jac = values_and_jacobian(spec, theta, xs)
-    return jac[0]
+    return _shift_rule(spec, theta, xs, None, None)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +718,19 @@ _TOPOLOGY_KEYS = {
 }
 
 
+def _json_int(name: str, value) -> int:
+    # JSON true/false parse as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"ansatz field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_weights(weights) -> EncodingSpec:
+    if not isinstance(weights, list):
+        raise ValueError(f"ansatz encoding weights must be a list, got {weights!r}")
+    return EncodingSpec(weights=tuple(_json_int("encoding", w) for w in weights))
+
+
 def ansatz_from_json(text: str) -> AnsatzSpec:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -755,6 +749,8 @@ def ansatz_from_json(text: str) -> AnsatzSpec:
     if missing:
         raise ValueError(f"missing ansatz fields: {sorted(missing)}")
     topo_doc = doc["topology"]
+    if not isinstance(topo_doc, dict):
+        raise ValueError(f"ansatz topology must be a JSON object, got {topo_doc!r}")
     kind = topo_doc.get("kind")
     if kind not in _TOPOLOGY_KEYS:
         raise ValueError(f"unknown topology kind {kind!r}")
@@ -765,24 +761,24 @@ def ansatz_from_json(text: str) -> AnsatzSpec:
         topo: Topology = Parallel()
     elif kind == "serial":
         topo = Serial(
-            reuploads=int(topo_doc["reuploads"]),
-            encoders_per_block=int(topo_doc.get("encoders_per_block", 2)),
+            reuploads=_json_int("reuploads", topo_doc.get("reuploads")),
+            encoders_per_block=_json_int("encoders_per_block", topo_doc.get("encoders_per_block", 2)),
         )
     else:
-        topo = Ring(reuploads=int(topo_doc["reuploads"]))
+        topo = Ring(reuploads=_json_int("reuploads", topo_doc.get("reuploads")))
     enc_doc = doc["encoding"]
+    if not isinstance(enc_doc, list):
+        raise ValueError(f"ansatz encoding must be a list, got {enc_doc!r}")
     if enc_doc and isinstance(enc_doc[0], list):
-        encoding: EncodingSpec | tuple[EncodingSpec, ...] = tuple(
-            EncodingSpec(weights=tuple(w)) for w in enc_doc
-        )
+        encoding: EncodingSpec | tuple[EncodingSpec, ...] = tuple(_json_weights(w) for w in enc_doc)
     else:
-        encoding = EncodingSpec(weights=tuple(enc_doc))
+        encoding = _json_weights(enc_doc)
     return AnsatzSpec(
-        n_variables=int(doc["n_variables"]),
-        n_qubits=int(doc["n_qubits"]),
-        n_layers=int(doc["n_layers"]),
+        n_variables=_json_int("n_variables", doc["n_variables"]),
+        n_qubits=_json_int("n_qubits", doc["n_qubits"]),
+        n_layers=_json_int("n_layers", doc["n_layers"]),
         topology=topo,
         encoding=encoding,
-        rotation_params=int(doc["rotation_params"]),
-        measured_qubit=int(doc["measured_qubit"]),
+        rotation_params=_json_int("rotation_params", doc["rotation_params"]),
+        measured_qubit=_json_int("measured_qubit", doc["measured_qubit"]),
     )

@@ -7,11 +7,12 @@ divergence abort and the result record.  A thin adapter per family
 validates its inputs, keeps its resource counters and hands the loop
 three callables: values and Jacobian on a batch, exact values on the
 training or test data, and coefficient recovery.  The quantum Jacobian
-comes from the parameter-shift rule, evaluated as one batched
-``values_and_jacobian`` call per step (fused dense blocks and diagonal
-phases for ``RZ``-encoded circuits with at least ``2**n`` batch points,
-gate by gate otherwise); the classical Jacobian is the batch's rows of
-the precomputed (projected) feature matrix.
+is one ``values_and_jacobian`` call per step: an adjoint pass with exact
+expectations, the parameter-shift rule over sampled circuits with
+``shots``.  Either way the quantum resource counters price the
+parameter-shift protocol, ``2 N_tp + 1`` circuits per batch point, which
+is what hardware would run.  The classical Jacobian is the batch's rows
+of the precomputed (projected) feature matrix.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,
@@ -465,6 +466,8 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
 
     def batch(params, idx):
         values, jac = values_and_jacobian(spec, params, data.inputs[idx], shots=cfg.shots, rng=rng)
+        # the parameter-shift hardware cost, also when the exact Jacobian
+        # was simulated by the adjoint pass
         evaluations = (2 * n_tp + 1) * idx.size
         counters["circuit_evaluations"] += evaluations
         counters["gate_operations"] += n_gt * evaluations

@@ -62,11 +62,11 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
     assert not silent, f"traced spans saw no calls: {silent}"
 
 
-def test_fused_fit_counts_match_the_record(bench_tracer):
-    """A Parallel fit with at least 2**n points runs the fused evaluation;
-    the circuit evaluations the tracer derives from call arguments must
-    equal the record's count, and the kernels must still be called
-    through the traced bindings."""
+def test_adjoint_fit_counts_match_the_record(bench_tracer):
+    """An exact fit takes its Jacobian from the adjoint pass; the circuit
+    evaluations the tracer derives from call arguments, (2 N_tp + 1) per
+    row, must still equal the record's parameter-shift count, and the
+    kernels must still be called through the traced bindings."""
     tracer, _ = bench_tracer
     spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
                       topology=Parallel(), encoding=exponential_weights(3))

@@ -4,6 +4,8 @@ structure, and serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourierqml import qfflm
 from fourierqml.errors import CapacityError
@@ -190,7 +192,7 @@ class TestDenseProgram:
 
 
 # ---------------------------------------------------------------------------
-# fused evaluation against the gate path
+# adjoint Jacobian against the shift rule on the gate path
 # ---------------------------------------------------------------------------
 
 def gate_path_amplitudes(spec, thetas, xs):
@@ -212,7 +214,7 @@ def shifted_variants(theta):
     return theta + shifts
 
 
-FUSED_SPECS = {
+JACOBIAN_SPECS = {
     "parallel": AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
                            topology=Parallel(), encoding=exponential_weights(3)),
     "parallel-2var": AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1,
@@ -230,13 +232,14 @@ FUSED_SPECS = {
 }
 
 
-class TestFusedEvaluation:
-    """With RZ encodings and at least 2**n rows, ``_run_batch`` multiplies
-    dense blocks and diagonal phases; the gate path is its oracle."""
+class TestJacobianExamples:
+    """Fixed examples: exact values with the adjoint Jacobian, and sampled
+    values with the sampled shift rule, against the shift rule applied to
+    the gate path's amplitudes."""
 
-    @pytest.fixture(params=list(FUSED_SPECS), ids=list(FUSED_SPECS))
+    @pytest.fixture(params=list(JACOBIAN_SPECS), ids=list(JACOBIAN_SPECS))
     def spec(self, request):
-        return FUSED_SPECS[request.param]
+        return JACOBIAN_SPECS[request.param]
 
     @staticmethod
     def inputs(spec, seed, rows=None):
@@ -272,31 +275,53 @@ class TestFusedEvaluation:
         np.testing.assert_allclose(jac, ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2).T,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("spare_rows", [-1, 0], ids=["gate", "fused"])
-    def test_path_follows_row_count(self, monkeypatch, spare_rows):
-        """The fused path runs exactly when 2**n <= rows, and both sides
-        of that boundary give the oracle's values."""
-        spec = FUSED_SPECS["parallel"]
-        calls = []
-        phases = qfflm._encoding_phases
-        monkeypatch.setattr(qfflm, "_encoding_phases",
-                            lambda *args: calls.append(args) or phases(*args))
-        theta = init_parameters(spec, make_rng(68))
-        xs = self.inputs(spec, 69, rows=(1 << spec.total_qubits) + spare_rows)
-        got = evaluate_batch(spec, theta, xs)
-        assert bool(calls) == (spare_rows >= 0)
-        z = expectation_z(gate_path_amplitudes(spec, theta[None, :], xs),
-                          spec.total_qubits, spec.measured_qubit)[0]
-        np.testing.assert_allclose(got, z, rtol=0, atol=1e-12)
 
-    def test_rot_encoding_keeps_gate_path(self, monkeypatch):
-        spec = sample_specs()[2]
-        monkeypatch.setattr(qfflm, "_encoding_phases", None)  # any call would fail
-        theta = init_parameters(spec, make_rng(70))
-        xs = self.inputs(spec, 71, rows=64)
-        z = expectation_z(gate_path_amplitudes(spec, theta[None, :], xs),
-                          spec.total_qubits, spec.measured_qubit)[0]
-        np.testing.assert_array_equal(evaluate_batch(spec, theta, xs), z)
+@st.composite
+def jacobian_cases(draw):
+    """A spec of any topology, parameters, and a batch of inputs."""
+    topology = draw(st.sampled_from(["parallel", "serial", "ring"]))
+    rotation_params = draw(st.sampled_from([2, 3]))
+    n_layers = draw(st.integers(min_value=0, max_value=2))
+    if topology == "parallel":
+        n_variables = draw(st.integers(min_value=1, max_value=2))
+        n_qubits = draw(st.integers(min_value=1, max_value=2))
+        kwargs = dict(topology=Parallel(), encoding=exponential_weights(n_qubits))
+    elif topology == "serial":
+        n_qubits = draw(st.integers(min_value=1, max_value=2))
+        n_variables = 3 * n_qubits
+        kwargs = dict(topology=Serial(reuploads=2, encoders_per_block=1),
+                      encoding=EncodingSpec(weights=(1, 3)))
+    else:
+        n_qubits = n_variables = draw(st.integers(min_value=1, max_value=2))
+        kwargs = dict(topology=Ring(reuploads=2), encoding=EncodingSpec(weights=(1, 2)))
+    total = n_variables * n_qubits if topology == "parallel" else n_qubits
+    spec = AnsatzSpec(n_variables=n_variables, n_qubits=n_qubits, n_layers=n_layers,
+                      rotation_params=rotation_params,
+                      measured_qubit=draw(st.sampled_from([1, total])), **kwargs)
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = (1 << total) + draw(st.sampled_from([-1, 2]))
+    return spec, init_parameters(spec, rng), rng.uniform(-np.pi, np.pi, (rows, n_variables))
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobian_cases())
+def test_adjoint_jacobian_matches_shift_rule_and_finite_differences(case):
+    """Differential check over topologies, rotation_params, variable and
+    layer counts, the measured qubit, and row counts on either side of
+    2**n: the adjoint Jacobian equals the shift rule row by row and
+    central finite differences of evaluate_batch."""
+    spec, theta, xs = case
+    values, jac = values_and_jacobian(spec, theta, xs)
+    np.testing.assert_allclose(values, evaluate_batch(spec, theta, xs), rtol=0, atol=1e-12)
+    for row, x in enumerate(xs):
+        np.testing.assert_allclose(jac[row], gradient_parameter_shift(spec, theta, x),
+                                   rtol=0, atol=1e-12)
+    h = 1e-5
+    for k in range(theta.size):
+        step = np.zeros(theta.size)
+        step[k] = h
+        fd = (evaluate_batch(spec, theta + step, xs) - evaluate_batch(spec, theta - step, xs)) / (2 * h)
+        np.testing.assert_allclose(jac[:, k], fd, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +414,14 @@ class TestEvaluateSampled:
         a = evaluate_sampled(ONE_QUBIT, theta, [0.7], shots=500, rng=make_rng(11))
         b = evaluate_sampled(ONE_QUBIT, theta, [0.7], shots=500, rng=make_rng(11))
         assert a == b
+
+    def test_several_points_rejected(self):
+        """Like evaluate, it estimates one point; a batch used to be
+        sampled in full and all but its first estimate dropped."""
+        spec = sample_specs()[0]
+        with pytest.raises(ValueError, match="single input point"):
+            evaluate_sampled(spec, np.zeros(param_count(spec)), [[0.1], [0.2], [0.3]],
+                             shots=10, rng=make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +534,10 @@ class TestFourierCoefficients:
             )
 
     @pytest.mark.parametrize("spec", [
-        FUSED_SPECS["parallel"],
-        FUSED_SPECS["rot"],
-        FUSED_SPECS["parallel-2var"],
-        FUSED_SPECS["measured-1"],
+        JACOBIAN_SPECS["parallel"],
+        JACOBIAN_SPECS["rot"],
+        JACOBIAN_SPECS["parallel-2var"],
+        JACOBIAN_SPECS["measured-1"],
     ], ids=["parallel", "rot", "parallel-2var", "measured-1"])
     def test_closed_form_coefficients(self, spec):
         """f(x) = a^dag D(x)^dag O D(x) a with a = W1|0>, O = W2^dag Z W2 and
@@ -629,4 +662,18 @@ class TestSerialization:
         doc = json.loads(ansatz_to_json(ONE_QUBIT))
         del doc["n_layers"]
         with pytest.raises(ValueError, match="missing"):
+            ansatz_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name,value", [
+        ("topology", "parallel"),
+        ("encoding", 5),
+        ("n_layers", 1.7),
+        ("n_layers", True),
+    ], ids=["topology-not-object", "encoding-not-list", "count-float", "count-bool"])
+    def test_malformed_field_rejected(self, name, value):
+        import json
+
+        doc = json.loads(ansatz_to_json(ONE_QUBIT))
+        doc[name] = value
+        with pytest.raises(ValueError, match=name):
             ansatz_from_json(json.dumps(doc))
