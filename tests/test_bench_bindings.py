@@ -62,8 +62,9 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
     assert not silent, f"traced spans saw no calls: {silent}"
 
 
-def test_adjoint_fit_counts_match_the_record(bench_tracer):
-    """An exact fit takes its Jacobian from the adjoint pass; the circuit
+def test_fused_fit_counts_match_the_record(bench_tracer):
+    """The name dates from the fused dense-block mode; an exact fit now
+    takes its Jacobian from the adjoint pass. The circuit
     evaluations the tracer derives from call arguments, (2 N_tp + 1) per
     row, must still equal the record's parameter-shift count, and the
     kernels must still be called through the traced bindings."""

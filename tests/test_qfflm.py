@@ -232,10 +232,11 @@ JACOBIAN_SPECS = {
 }
 
 
-class TestJacobianExamples:
+class TestFusedEvaluation:
     """Fixed examples: exact values with the adjoint Jacobian, and sampled
     values with the sampled shift rule, against the shift rule applied to
-    the gate path's amplitudes."""
+    the gate path's amplitudes. The class name, and so its test ids, dates
+    from the fused dense-block mode these cases were written for."""
 
     @pytest.fixture(params=list(JACOBIAN_SPECS), ids=list(JACOBIAN_SPECS))
     def spec(self, request):
