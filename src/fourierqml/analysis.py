@@ -27,14 +27,7 @@ import numpy as np
 
 from .cfflm import FeatureMap, feature_matrix
 from .errors import CapacityError
-from .qfflm import (  # count_gates is re-exported
-    AnsatzSpec,
-    Parallel,
-    block_unitaries,
-    count_gates,
-    encoding_diagonal,
-    param_count,
-)
+from .qfflm import AnsatzSpec, Parallel, apply_opening, count_gates, param_count
 from .spectra import exponential_weights
 from .statevector import apply_ry, expectation_z, haar_unitary
 
@@ -273,7 +266,7 @@ class PlateauReport:
         return doc
 
 
-_MAX_HAAR_QUBITS = 10
+_MAX_HAAR_QUBITS = 16
 
 
 def plateau_stats(
@@ -290,24 +283,27 @@ def plateau_stats(
 
     The circuit model is ``W2 . S(x) . W1`` acting on the all-zeros state
     with a Z measurement on the last qubit; ``S`` is the exponential
-    encoding layer at the fixed point ``x``.  ``mode='haar'`` draws every
-    trainable block as an exact Haar unitary on the full register, so the
-    known concentration formulas apply exactly; ``mode='circuit'`` runs
-    the trainable block of the compiled ``Parallel`` ansatz with angles
-    uniform on [-pi, pi) instead (qualitative only).
+    encoding layer at the fixed point ``x``.  The differentiated RY sits at
+    the very first rotation (``grad_case='II'``), at the final rotation on
+    the measured qubit (``'III'``), or in the bulk after a third random
+    block ``Wb`` (``'I'``).  Each trial yields three rows, the state and
+    its two ``RY(+-pi/2)`` shifts, and one ``expectation_z`` readout gives
+    the value and the exact shift-rule gradient; the loss gradient
+    assumes target 0 at the sampled point.
 
-    The differentiated parameter sits at the very first rotation
-    (``grad_case='II'``), at the final rotation on the measured qubit
-    (``'III'``), or between two trainable blocks in the bulk (``'I'``,
-    which inserts a third random block ``Wb``).  Every case runs the same
-    propagation: ``|0>`` passes through the blocks ``before`` the
-    differentiated RY (none for II, ``Wb`` for I, ``W1, S, W2`` for III),
-    is stacked with its two ``RY(+-pi/2)`` shifts (on qubit 1, or on the
-    measured qubit for III), and the three rows pass through the blocks
-    ``after`` it (``W1, S, W2`` for I and II, none for III).  One
-    ``expectation_z`` readout gives the value and the exact two-point
-    parameter-shift gradient; the loss gradient assumes target 0 at the
-    sampled point.
+    ``mode='haar'`` draws the blocks as exact Haar unitaries, so the known
+    concentration formulas apply exactly, but builds none: the rows span
+    two dimensions, and a Haar unitary applied to a fixed or independent
+    ``d x k`` frame is a Haar ``d x k`` isometry.  II maps fixed
+    combinations of ``|0>`` and ``|d/2>`` through one ``d x 2`` isometry;
+    III shifts the Haar state ``W2 S W1 |0>``; I shifts the Haar state
+    ``Wb |0>``, writes the rows in a QR frame and maps it through one
+    ``d x 2`` isometry.  A trial costs O(d), and ``x`` and ``n_layers`` do
+    not affect this mode's statistics.  ``mode='circuit'`` runs the
+    compiled ``Parallel`` block with angles uniform on [-pi, pi)
+    (qualitative only) gate by gate, trials on the variant axis: ``Wb``
+    for I, then ``W1``, the encoding at ``x`` and ``W2``.  Each batch
+    draws the angles of W1, W2, then Wb.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -318,7 +314,7 @@ def plateau_stats(
     total = n_variables * n_qubits
     if total > _MAX_HAAR_QUBITS:
         raise CapacityError(
-            f"{total} qubits exceed the dense Monte-Carlo cap of {_MAX_HAAR_QUBITS}"
+            f"{total} qubits exceed the plateau Monte-Carlo cap of {_MAX_HAAR_QUBITS}"
         )
     if x is None:
         x = 0.5 + 0.25 * np.arange(n_variables)
@@ -326,46 +322,57 @@ def plateau_stats(
     if x.shape != (n_variables,):
         raise ValueError(f"x must have shape ({n_variables},), got {x.shape}")
 
-    spec = AnsatzSpec(n_variables, n_qubits, n_layers, Parallel(), exponential_weights(n_qubits))
-    n_block = param_count(spec) // 2  # W1 and W2 of a Parallel spec have the same layout
     d = 1 << total
-    phases = encoding_diagonal(spec, x)
-    zero = np.eye(1, d, dtype=np.complex128)  # |0...0> as a row
     shifted_qubit = total if grad_case == "III" else 1
 
-    def draw_block(size: int) -> np.ndarray:
-        if mode == "haar":
-            return haar_unitary(d, rng, size=size)
-        # one row of draws per angle, so each angle's batch is drawn in turn
-        return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, size)).T)
+    def shifted(states: np.ndarray) -> np.ndarray:
+        # (b, 1, d) -> (b, 3, d): each state and its two RY(+-pi/2) shifts
+        return np.concatenate(
+            [states] + [apply_ry(states.copy(), total, shifted_qubit, angle)
+                        for angle in (math.pi / 2.0, -math.pi / 2.0)], axis=-2)
 
-    def propagate(states: np.ndarray, blocks: list) -> np.ndarray:
-        # row-vector states: a dense block W acts as psi @ W^T, S(x) as phases
-        for block in blocks:
-            states = states * block if block.ndim == 1 else states @ block.swapaxes(-1, -2)
-        return states
+    if mode == "haar":
+        s = math.sqrt(0.5)
+        # RY(0) and RY(+-pi/2) on qubit 1 applied to |0>, in the frame |0>, |d/2>
+        opening = np.array([[1.0, 0.0], [s, s], [s, -s]])
 
-    def sample(b: int) -> tuple[np.ndarray, np.ndarray]:
-        # a scope per batch, so its blocks are freed before the next batch is drawn
-        w1 = draw_block(b)
-        w2 = draw_block(b)
-        circuit = [w1, phases, w2]
-        if grad_case == "I":
-            before, after = [draw_block(b)], circuit
-        elif grad_case == "II":
-            before, after = [], circuit
-        else:
-            before, after = circuit, []
-        states = propagate(zero, before)
-        rows = [states] + [apply_ry(states.copy(), total, shifted_qubit, angle)
-                           for angle in (math.pi / 2.0, -math.pi / 2.0)]
-        z = expectation_z(propagate(np.concatenate(rows, axis=-2), after), total, total)
-        return z[..., 0], 0.5 * (z[..., 1] - z[..., 2])
+        def isometry(b: int, k: int) -> np.ndarray:
+            # (b, k, d): row-vector form of b Haar d x k isometries
+            return haar_unitary(d, rng, size=b, columns=k).swapaxes(-1, -2)
 
-    batch = max(1, min(1024, (1 << 21) // (d * d)))
-    f, grad = np.concatenate(
-        [sample(min(batch, trials - start)) for start in range(0, trials, batch)], axis=-1
+        def sample(b: int) -> np.ndarray:
+            if grad_case == "II":
+                return opening @ isometry(b, 2)
+            rows = shifted(isometry(b, 1))
+            if grad_case == "I":
+                frame = np.linalg.qr(rows[:, :2].swapaxes(-1, -2))[0]
+                rows = (rows @ frame.conj()) @ isometry(b, 2)
+            return rows
+    else:
+        spec = AnsatzSpec(n_variables, n_qubits, n_layers, Parallel(), exponential_weights(n_qubits))
+        n_block = param_count(spec) // 2  # W1 and W2 of a Parallel spec have the same layout
+
+        def angles(b: int) -> np.ndarray:
+            # one row of draws per angle, so each angle's batch is drawn in turn
+            return rng.uniform(-np.pi, np.pi, size=(n_block, b)).T
+
+        def sample(b: int) -> np.ndarray:
+            w1, w2 = angles(b), angles(b)
+            states = np.repeat(np.eye(1, d, dtype=np.complex128)[None], b, axis=0)  # |0...0>
+            if grad_case == "I":
+                states = apply_opening(spec, states, angles(b))
+            if grad_case != "III":
+                states = shifted(states)
+            states = apply_opening(spec, apply_opening(spec, states, w1, x), w2)
+            return shifted(states) if grad_case == "III" else states
+
+    # the largest array of a batch holds its 3 rows of d amplitudes per trial
+    batch = max(1, min(1024, (1 << 21) // (3 * d)))
+    z = np.concatenate(
+        [expectation_z(sample(min(batch, trials - start)), total, total)
+         for start in range(0, trials, batch)]
     )
+    f, grad = z[:, 0], 0.5 * (z[:, 1] - z[:, 2])
     loss_grad = 2.0 * f * grad
     bound = variance_bounds(d, grad_case)
 

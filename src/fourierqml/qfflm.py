@@ -69,8 +69,7 @@ __all__ = [
     "FourierCoefficients",
     "param_count",
     "count_gates",
-    "block_unitaries",
-    "encoding_diagonal",
+    "apply_opening",
     "init_parameters",
     "evaluate",
     "evaluate_batch",
@@ -305,50 +304,27 @@ def _is_encoding(op: tuple) -> bool:
     return op[0].startswith("enc_")
 
 
-def _opening(spec: AnsatzSpec) -> tuple[tuple, tuple]:
-    """The first trainable block and the run of encoding ops after it."""
+def apply_opening(spec: AnsatzSpec, amps: np.ndarray, angles, x=None) -> np.ndarray:
+    """Run the first trainable block, and with ``x`` the encoding run after it.
+
+    ``amps`` has shape ``(variants, rows, 2**n)``; ``angles`` has shape
+    ``(variants, n_block_params)`` and holds that block's trainable angles
+    in the flat theta order, one row per variant.  ``x`` is one input
+    point, shared by every row.  A ``Parallel`` spec's second block has
+    the first one's layout, so the same call runs it on the second half
+    of theta.
+    """
     ops, _ = _program(spec)
     block = tuple(takewhile(lambda op: not _is_encoding(op), ops))
-    return block, tuple(takewhile(_is_encoding, ops[len(block):]))
-
-
-def block_unitaries(spec: AnsatzSpec, angles: np.ndarray) -> np.ndarray:
-    """Dense unitaries of the first trainable block, one per angle row.
-
-    ``angles`` has shape ``(size, n_block_params)`` and holds that block's
-    trainable angles in the flat theta order.  Returns shape
-    ``(size, 2**n, 2**n)``.
-    """
-    block, _ = _opening(spec)
-    angles = np.asarray(angles, dtype=np.float64)
     n_block = sum(op[0] != "cnot" for op in block)
+    angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 2 or angles.shape[1] != n_block:
-        raise ValueError(f"angles must have shape (size, {n_block}), got {angles.shape}")
-    # the block's ops run on the 2**n basis states at once: row j of entry
-    # v is U_v |j>, so the unitary is the transpose
-    d = 1 << spec.total_qubits
-    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (angles.shape[0], d, d)).copy()
-    return _apply_ops(basis, spec.total_qubits, block, angles, None).swapaxes(-1, -2)
-
-
-def encoding_diagonal(spec: AnsatzSpec, x) -> np.ndarray:
-    """Diagonal of the encoding layer after the first trainable block at ``x``.
-
-    Only ``RZ`` encodings are diagonal; a ``Serial`` spec raises
-    ``ValueError``.  The phases of every op are summed before a single
-    exponential.
-    """
-    _, layer = _opening(spec)
-    if any(op[0] != "enc_rz" for op in layer):
-        raise ValueError("only RZ encoding layers are diagonal")
-    x = np.asarray(x, dtype=np.float64)
-    n = spec.total_qubits
-    indices = np.arange(1 << n)
-    phases = np.zeros(1 << n)
-    for _, qubit, var, weight in layer:
-        bit = (indices >> (n - qubit)) & 1
-        phases += weight * x[var] * 0.5 * (2 * bit - 1)
-    return np.exp(1j * phases)
+        raise ValueError(f"angles must have shape (variants, {n_block}), got {angles.shape}")
+    xs = None
+    if x is not None:
+        block += tuple(takewhile(_is_encoding, ops[len(block):]))
+        xs = np.asarray(x, dtype=np.float64)[None, :]
+    return _apply_ops(amps, spec.total_qubits, block, angles, xs)
 
 
 def init_parameters(spec: AnsatzSpec, rng: np.random.Generator) -> np.ndarray:
@@ -507,11 +483,19 @@ def values_and_jacobian(
     pair = np.concatenate([phi, z * phi])
     generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
     jac = np.zeros((xs.shape[0], n_tp))
+    # ``mixed`` holds the qubits whose Z may fail to commute with the
+    # observable carried back (Z_measured under the ops undone so far).  A
+    # trainable RZ on any other qubit commutes with it, so its column stays
+    # exactly 0.  An RY mixes its qubit, and a CNOT carries its target's Z
+    # back to Z_control Z_target, so a mixed control mixes the target.
+    mixed: set[int] = set()
     for k in range(len(ops) - 1, -1, -1):
         op = ops[k]
-        if op[0] in ("ry", "rz"):
+        if op[0] == "ry" or (op[0] == "rz" and op[1] in mixed):
             g = _apply_ops(pair[:1].copy(), n, (op,), generator, None)[0]
             jac[:, op[2]] = (pair[1].conj() * g).real.sum(axis=-1)
+        if op[0] in ("ry", "enc_ry") or (op[0] == "cnot" and op[1] in mixed):
+            mixed.add(op[2] if op[0] == "cnot" else op[1])
         if k:  # the first gate needs no undoing
             pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
     return values, jac

@@ -158,17 +158,23 @@ def state_norm(amps: np.ndarray):
     return np.sqrt((amps.real**2 + amps.imag**2).sum(axis=-1))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-distributed unitaries via QR of a complex Ginibre matrix.
+def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None,
+                 columns: int | None = None) -> np.ndarray:
+    """Haar-distributed unitaries, or isometries, via QR of a complex Ginibre matrix.
 
     The raw QR decomposition is not Haar; multiplying each column of Q by
     the phase of the corresponding diagonal entry of R fixes the measure.
-    Returns shape ``(dim, dim)``, or ``(size, dim, dim)`` when ``size``
-    is given (stacked QR).
+    With ``columns=k`` the Ginibre matrix is ``dim x k`` and the result is
+    a Haar ``dim x k`` isometry, distributed as the first ``k`` columns of
+    a Haar unitary.  Returns shape ``(dim, k)``, or ``(size, dim, k)``
+    when ``size`` is given (stacked QR); ``k`` defaults to ``dim``.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    shape = (dim, dim) if size is None else (size, dim, dim)
+    k = dim if columns is None else columns
+    if not 1 <= k <= dim:
+        raise ValueError(f"columns must be in 1..{dim}, got {k}")
+    shape = (dim, k) if size is None else (size, dim, k)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     diag = np.einsum("...ii->...i", r)

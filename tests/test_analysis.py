@@ -21,10 +21,12 @@ from fourierqml.analysis import (
 )
 from fourierqml.cfflm import FeatureMap
 from fourierqml.errors import CapacityError
-from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, block_unitaries, param_count
+from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, param_count
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
 from fourierqml.statevector import haar_unitary
+
+from dense_oracle import block_unitaries, dense_plateau_samples
 
 
 def parallel_spec(n_layers, n_variables=1, n_qubits=4, rotation_params=2):
@@ -240,8 +242,11 @@ class TestPlateauStats:
     @pytest.mark.parametrize("case", ["I", "II", "III"])
     @pytest.mark.parametrize("n_variables, n_qubits", [(1, 1), (1, 3), (2, 1)])
     def test_matches_per_trial_matrix_oracle(self, n_variables, n_qubits, case, mode):
-        """Replay the blocks from the same seed, build every circuit as
-        explicit d x d matrices and apply the shift rule trial by trial."""
+        """Replay the draws from the same seed, build every trial's rows as
+        explicit matrix-vector products and apply the shift rule trial by
+        trial.  In circuit mode the blocks are explicit d x d matrices; in
+        Haar mode the lab's isometries V (and Haar states u for I and III)
+        map an explicit 2-frame of the shifted rows."""
         trials, seed = 100, (13, n_variables, n_qubits)
         x = np.array([0.7, -1.3][:n_variables])
         report = plateau_stats(n_variables, n_qubits, trials, make_rng(seed),
@@ -252,15 +257,6 @@ class TestPlateauStats:
         spec = AnsatzSpec(n_variables, n_qubits, 2, Parallel(), exponential_weights(n_qubits))
         rng = make_rng(seed)
 
-        def draw():  # 100 trials are one batch, so each block is one draw
-            if mode == "haar":
-                return haar_unitary(d, rng, size=trials)
-            n_block = param_count(spec) // 2
-            return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, trials)).T)
-
-        w1, w2 = draw(), draw()
-        wb = draw() if case == "I" else None
-
         def on_qubit(gate, q):
             return np.kron(np.kron(np.eye(2 ** (q - 1)), gate), np.eye(2 ** (n - q)))
 
@@ -268,25 +264,48 @@ class TestPlateauStats:
             c, s = np.cos(angle / 2), np.sin(angle / 2)
             return on_qubit(np.array([[c, -s], [s, c]]), q)
 
-        encoding = np.eye(1)
-        for value in x:
-            for k in range(n_qubits):  # RZ(3**k x) on the variable's k-th qubit
-                half = 0.5j * 3**k * value
-                encoding = np.kron(encoding, np.diag(np.exp([-half, half])))
         z_last = on_qubit(np.diag([1.0, -1.0]), n)
+        zero = np.eye(d)[:, 0]
+
+        if mode == "circuit":
+            def draw():  # 100 trials are one batch, so each block is one draw
+                n_block = param_count(spec) // 2
+                return block_unitaries(spec, rng.uniform(-np.pi, np.pi, size=(n_block, trials)).T)
+
+            w1, w2 = draw(), draw()
+            wb = draw() if case == "I" else None
+            encoding = np.eye(1)
+            for value in x:
+                for k in range(n_qubits):  # RZ(3**k x) on the variable's k-th qubit
+                    half = 0.5j * 3**k * value
+                    encoding = np.kron(encoding, np.diag(np.exp([-half, half])))
+
+            def state(t, theta):
+                body = w2[t] @ encoding @ w1[t]
+                if case == "I":
+                    return body @ ry(1, theta) @ wb[t] @ zero
+                if case == "II":
+                    return body @ ry(1, theta) @ zero
+                return ry(n, theta) @ body @ zero
+        else:
+            u = haar_unitary(d, rng, size=trials, columns=1)[..., 0] if case != "II" else None
+            v = haar_unitary(d, rng, size=trials, columns=2) if case != "III" else None
+
+            def state(t, theta):
+                if case == "III":  # W2 S W1 |0> is the Haar state u
+                    return ry(n, theta) @ u[t]
+                if case == "II":  # W2 S W1 maps |0>, |d/2> to the columns of V
+                    frame = np.eye(d)[:, [0, d // 2]]
+                    row = ry(1, theta) @ zero
+                else:  # Wb|0> is u; W2 S W1 maps a frame of u, RY(pi/2) u to V
+                    frame = np.linalg.qr(np.stack([u[t], ry(1, np.pi / 2) @ u[t]], axis=1))[0]
+                    row = ry(1, theta) @ u[t]
+                return v[t] @ (frame.conj().T @ row)
 
         f, grad = np.empty(trials), np.empty(trials)
         for t in range(trials):
-            body = w2[t] @ encoding @ w1[t]
-
             def value(theta):
-                if case == "I":
-                    circuit = body @ ry(1, theta) @ wb[t]
-                elif case == "II":
-                    circuit = body @ ry(1, theta)
-                else:
-                    circuit = ry(n, theta) @ body
-                psi = circuit[:, 0]  # the circuit applied to |0...0>
+                psi = state(t, theta)
                 return float(np.real(np.conj(psi) @ z_last @ psi))
 
             f[t] = value(0.0)
@@ -294,17 +313,43 @@ class TestPlateauStats:
 
         loss_grad = 2.0 * f * grad
         expected = {
-            "mean_f": f.mean(), "var_f": f.var(ddof=1),
+            "mean_f": f.mean(), "var_f": f.var(ddof=1), "mean_grad": grad.mean(),
             "mean_sq_grad": (grad**2).mean(), "var_loss_grad": loss_grad.var(ddof=1),
         }
         for name, want in expected.items():
             assert getattr(report, name) == pytest.approx(want, rel=1e-12, abs=1e-12), name
 
+    @pytest.mark.parametrize("case", ["I", "II", "III"])
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_isometry_moments_match_dense_haar_blocks(self, n_qubits, case):
+        """The isometry lab and full d x d Haar blocks (the dense oracle)
+        sample the same distribution: <f>, <f^2> and <g^2> agree within 4
+        combined standard errors at d = 2, 4, 8."""
+        trials, index = 4000, ("I", "II", "III").index(case)
+        f, grad = dense_plateau_samples(1, n_qubits, trials, make_rng((23, n_qubits, index)),
+                                        grad_case=case)
+        report = plateau_stats(1, n_qubits, trials, make_rng((29, n_qubits, index)), grad_case=case)
+        for name, dense, mean, se in (
+            ("<f>", f, report.mean_f, report.se_mean_f),
+            ("<f^2>", f**2, report.mean_sq_f, report.se_mean_sq_f),
+            ("<g^2>", grad**2, report.mean_sq_grad, report.se_mean_sq_grad),
+        ):
+            se_dense = dense.std(ddof=1) / np.sqrt(trials)
+            z = (mean - dense.mean()) / np.hypot(se, se_dense)
+            assert abs(z) < 4.0, (name, z)
+
+    def test_twelve_qubit_second_moment(self):
+        """The isometry lab reaches past the old 10-qubit cap: at d = 4096,
+        <f^2> is within 4 standard errors of 1/(d+1)."""
+        report = plateau_stats(1, 12, 500, make_rng(31))
+        assert report.predicted_mean_sq_f == pytest.approx(1 / 4097)
+        assert abs(report.zscore_mean_sq_f) < 4.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             plateau_stats(1, 2, 99, make_rng(0))
         with pytest.raises(CapacityError):
-            plateau_stats(1, 11, 1000, make_rng(0))
+            plateau_stats(1, 17, 1000, make_rng(0))
         with pytest.raises(ValueError):
             plateau_stats(1, 2, 500, make_rng(0), mode="weird")
         with pytest.raises(ValueError):

@@ -51,8 +51,9 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
             haar_calls = tracer.calls["statevector.haar_unitary"]
             analysis.plateau_stats(1, 2, 100, make_rng(0), mode=mode, grad_case=case)
             assert tracer.calls["analysis.plateau_stats"] == plateau_calls + 1
-            # 100 trials are one batch: W1, W2 and, in the bulk case, Wb
-            draws = (3 if case == "I" else 2) if mode == "haar" else 0
+            # 100 trials are one batch: one isometry, and a Haar state first
+            # in the bulk case
+            draws = (2 if case == "I" else 1) if mode == "haar" else 0
             assert tracer.calls["statevector.haar_unitary"] == haar_calls + draws, (mode, case)
     assert cli.main(["spectrum", "--exp", "2", "--output", str(tmp_path / "s.json")]) == 0
     for span in ("trainer.train_q", "trainer.train_c", "trainer.adam_step",

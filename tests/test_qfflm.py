@@ -16,9 +16,7 @@ from fourierqml.qfflm import (
     Serial,
     ansatz_from_json,
     ansatz_to_json,
-    block_unitaries,
     coefficient_vector,
-    encoding_diagonal,
     evaluate,
     evaluate_batch,
     evaluate_sampled,
@@ -31,6 +29,8 @@ from fourierqml.qfflm import (
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
 from fourierqml.statevector import expectation_z, sample_expectation_z
+
+from dense_oracle import block_unitaries, encoding_diagonal
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class TestInitParameters:
 
 
 # ---------------------------------------------------------------------------
-# dense blocks and encoding diagonals of the compiled program
+# dense blocks and encoding diagonals of the compiled program (test oracle)
 # ---------------------------------------------------------------------------
 
 class TestDenseProgram:
@@ -323,6 +323,31 @@ def test_adjoint_jacobian_matches_shift_rule_and_finite_differences(case):
         step[k] = h
         fd = (evaluate_batch(spec, theta + step, xs) - evaluate_batch(spec, theta - step, xs)) / (2 * h)
         np.testing.assert_allclose(jac[:, k], fd, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("spec", [
+    JACOBIAN_SPECS["parallel"],
+    JACOBIAN_SPECS["rot"],
+    JACOBIAN_SPECS["ring"],
+    AnsatzSpec(n_variables=6, n_qubits=2, n_layers=2,
+               topology=Serial(reuploads=2, encoders_per_block=1),
+               encoding=EncodingSpec(weights=(1, 3))),
+], ids=["parallel", "rot", "ring", "serial"])
+def test_commuting_final_rz_columns_are_exactly_zero(spec):
+    """Each qubit's last trainable RZ (the RZ of a two-angle layer, the
+    last-applied angle a1 of a Rot) in the final layer commutes through
+    the CNOT line with the measured Z: its adjoint column is exactly 0,
+    and every column still matches the shift rule."""
+    n_tp, rot, total = param_count(spec), spec.rotation_params, spec.total_qubits
+    last_layer = n_tp - rot * total
+    masked = [last_layer + rot * q + (1 if rot == 2 else 0) for q in range(total)]
+    theta = init_parameters(spec, make_rng(71))
+    xs = make_rng(72).uniform(-np.pi, np.pi, (5, spec.n_variables))
+    _, jac = values_and_jacobian(spec, theta, xs)
+    assert np.all(jac[:, masked] == 0.0)
+    for row, x in enumerate(xs):
+        np.testing.assert_allclose(jac[row], gradient_parameter_shift(spec, theta, x),
+                                   rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,25 @@ class TestHaarUnitary:
         vals = np.abs(us[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(samples)
         assert abs(vals.mean() - 1.0 / dim) < 3 * se
+
+    @pytest.mark.parametrize("columns", [1, 2, 5])
+    def test_column_draws_are_isometries(self, columns):
+        vs = haar_unitary(8, make_rng(27), size=10, columns=columns)
+        assert vs.shape == (10, 8, columns)
+        gram = np.einsum("bij,bik->bjk", vs.conj(), vs)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(columns), gram.shape),
+                                   rtol=0, atol=1e-12)
+
+    def test_full_column_count_is_the_square_draw(self):
+        np.testing.assert_array_equal(haar_unitary(4, make_rng(28), size=3, columns=4),
+                                      haar_unitary(4, make_rng(28), size=3))
+        np.testing.assert_array_equal(haar_unitary(4, make_rng(29), columns=4),
+                                      haar_unitary(4, make_rng(29)))
+
+    def test_column_draw_first_entry_moment(self):
+        """E|V_11|^2 = 1/dim for a Haar isometry; dim=8, 2 columns, 1e5 samples."""
+        dim, samples = 8, 100_000
+        vs = haar_unitary(dim, make_rng(30), size=samples, columns=2)
+        vals = np.abs(vs[:, 0, 0]) ** 2
+        se = vals.std(ddof=1) / np.sqrt(samples)
+        assert abs(vals.mean() - 1.0 / dim) < 3 * se
