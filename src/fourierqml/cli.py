@@ -9,8 +9,7 @@ config is archived into the output directory next to the results.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
-times go to the ``run.log`` sidecar only.  The ``FOURIER_QML_THREADS``
-environment variable caps worker threads for commands that parallelize.
+times go to the ``run.log`` sidecar only.
 
 Exit codes: 0 success, 2 usage or config error, 3 divergence during
 training (partial trace still written), 4 capacity exceeded.
@@ -23,7 +22,6 @@ import csv
 import datetime
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -120,7 +118,6 @@ _COMPARE_SCHEMA = _base_schema(
         "classical_dimension": _POSITIVE_INT,
         "n_qubits": _POSITIVE_INT,
         "n_layers": _POSITIVE_INT,
-        "threads": _POSITIVE_INT,
     },
     ["r_values", "runs"],
 )
@@ -198,16 +195,6 @@ def _log(out: Path, message: str) -> None:
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     with open(out / "run.log", "a", encoding="utf-8") as handle:
         handle.write(f"{stamp} {message}\n")
-
-
-def _thread_cap(requested: int) -> int:
-    cap = os.environ.get("FOURIER_QML_THREADS")
-    if cap is None:
-        return requested
-    try:
-        return max(1, min(requested, int(cap)))
-    except ValueError:
-        raise ConfigError(f"FOURIER_QML_THREADS must be an integer, got {cap!r}") from None
 
 
 def _fmt(value: float) -> str:
@@ -345,7 +332,6 @@ def _cmd_compare(config: dict) -> int:
         n_qubits=config.get("n_qubits", 4),
         n_layers=config.get("n_layers", 1),
         base_seed=config["seed"],
-        threads=_thread_cap(config.get("threads", 1)),
     )
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

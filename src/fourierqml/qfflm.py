@@ -285,6 +285,28 @@ def _program(spec: AnsatzSpec) -> tuple[tuple, int]:
     return tuple(ops), idx
 
 
+@lru_cache(maxsize=None)
+def _commuting_rz(spec: AnsatzSpec) -> frozenset[int]:
+    """Program positions of trainable RZ gates whose derivative is exactly 0.
+
+    A qubit is mixed once an RY or encoding RY acts on it, or a CNOT from
+    a mixed control targets it.  Scanned forward from |0...0>, an RZ on an
+    unmixed qubit acts on a Z eigenstate factor, a global phase.  Scanned
+    backward from Z_measured, it commutes with the carried-back observable.
+    """
+    ops, _ = _program(spec)
+    zero = set()
+    for order in (range(len(ops)), range(len(ops) - 1, -1, -1)):
+        mixed: set[int] = set()
+        for k in order:
+            op = ops[k]
+            if op[0] == "rz" and op[1] not in mixed:
+                zero.add(k)
+            if op[0] in ("ry", "enc_ry") or (op[0] == "cnot" and op[1] in mixed):
+                mixed.add(op[2] if op[0] == "cnot" else op[1])
+    return frozenset(zero)
+
+
 def param_count(spec: AnsatzSpec) -> int:
     """Number of trainable parameters N_tp, fixed by the ansatz alone."""
     return _program(spec)[1]
@@ -483,19 +505,12 @@ def values_and_jacobian(
     pair = np.concatenate([phi, z * phi])
     generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
     jac = np.zeros((xs.shape[0], n_tp))
-    # ``mixed`` holds the qubits whose Z may fail to commute with the
-    # observable carried back (Z_measured under the ops undone so far).  A
-    # trainable RZ on any other qubit commutes with it, so its column stays
-    # exactly 0.  An RY mixes its qubit, and a CNOT carries its target's Z
-    # back to Z_control Z_target, so a mixed control mixes the target.
-    mixed: set[int] = set()
+    zero = _commuting_rz(spec)  # their columns stay exactly 0
     for k in range(len(ops) - 1, -1, -1):
         op = ops[k]
-        if op[0] == "ry" or (op[0] == "rz" and op[1] in mixed):
+        if op[0] == "ry" or (op[0] == "rz" and k not in zero):
             g = _apply_ops(pair[:1].copy(), n, (op,), generator, None)[0]
             jac[:, op[2]] = (pair[1].conj() * g).real.sum(axis=-1)
-        if op[0] in ("ry", "enc_ry") or (op[0] == "cnot" and op[1] in mixed):
-            mixed.add(op[2] if op[0] == "cnot" else op[1])
         if k:  # the first gate needs no undoing
             pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
     return values, jac
@@ -561,7 +576,6 @@ def fourier_coefficients(
     spec: AnsatzSpec,
     theta,
     grid_sizes: int | list[int] | None = None,
-    max_grid: int = _MAX_GRID,
 ) -> FourierCoefficients:
     """Exact Fourier coefficients by DFT over a uniform grid on [-pi, pi)^M.
 
@@ -586,8 +600,8 @@ def fourier_coefficients(
         if g < 2 * d + 1:
             raise ValueError(f"grid size {g} below Nyquist requirement {2 * d + 1}")
     total = prod(sizes)
-    if total > max_grid:
-        raise CapacityError(f"evaluation grid of {total} points exceeds cap {max_grid}")
+    if total > _MAX_GRID:
+        raise CapacityError(f"evaluation grid of {total} points exceeds cap {_MAX_GRID}")
 
     axes = [-np.pi + 2.0 * np.pi * np.arange(g) / g for g in sizes]
     mesh = np.meshgrid(*axes, indexing="ij")

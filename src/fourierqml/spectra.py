@@ -45,6 +45,8 @@ __all__ = [
 # exact integer bookkeeping is kept within 63 bits
 _SUM_CAP = 1 << 62
 _LATTICE_CAP = 1_000_000
+# 3^13 dictionary entries bound the exact nondegeneracy check
+_MAX_EXACT_ROTATIONS = 13
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
     return FrequencySpectrum(support=support, multiplicity=multiplicity)
 
 
-def is_maximally_nondegenerate(enc: EncodingSpec, max_exact_rotations: int = 13) -> bool:
+def is_maximally_nondegenerate(enc: EncodingSpec) -> bool:
     """True iff all 3^N sign combinations produce distinct frequencies.
 
     The sorted-prefix inequality ``2 * sum_{j<k} beta_j < beta_k`` (each
@@ -138,9 +140,9 @@ def is_maximally_nondegenerate(enc: EncodingSpec, max_exact_rotations: int = 13)
     ones) guarantees distinctness and is checked first.  It is only
     sufficient, not necessary -- (2, 3) violates it yet has all nine sums
     distinct -- so when it fails the spectrum is enumerated exactly with
-    an early exit at the first collision.  Weight tuples longer than
-    ``max_exact_rotations`` that also fail the inequality would need more
-    than 3^13 dictionary entries to decide and raise ``CapacityError``.
+    an early exit at the first collision.  Weight tuples longer than 13
+    that also fail the inequality would need more than 3^13 dictionary
+    entries to decide and raise ``CapacityError``.
     """
     ordered = sorted(enc.weights)
     partial = ordered[0]
@@ -152,7 +154,7 @@ def is_maximally_nondegenerate(enc: EncodingSpec, max_exact_rotations: int = 13)
         partial += beta
     if sufficient:
         return True
-    if len(enc.weights) > max_exact_rotations:
+    if len(enc.weights) > _MAX_EXACT_ROTATIONS:
         raise CapacityError(
             f"cannot decide nondegeneracy exactly for {len(enc.weights)} rotations"
         )

@@ -29,7 +29,6 @@ __all__ = [
     "MAX_QUBITS",
     "apply_rz",
     "apply_ry",
-    "apply_rot",
     "apply_cnot",
     "apply_dense",
     "expectation_z",
@@ -78,12 +77,6 @@ def apply_ry(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
     view[..., 0, :] = new0
     view[..., 1, :] = new1
     return amps
-
-
-def apply_rot(amps: np.ndarray, n_qubits: int, target: int, angle1, angle2, angle3) -> np.ndarray:
-    amps = apply_rz(amps, n_qubits, target, angle3)
-    amps = apply_ry(amps, n_qubits, target, angle2)
-    return apply_rz(amps, n_qubits, target, angle1)
 
 
 def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:

@@ -26,7 +26,6 @@ import io
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -169,9 +168,11 @@ def make_step_dataset(n_points: int) -> Dataset:
     )
 
 
-def make_random_fourier_target(
-    kappa: int, split: int, r: float, seed: int, norm_grid: int = 4096
-) -> FourierTarget:
+# grid points on which a random target's maximum |f| is normalized
+_NORM_GRID = 4096
+
+
+def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> FourierTarget:
     """Random bounded Fourier target with an exact low/high energy ratio.
 
     Draws ``kappa`` standard-Gaussian coefficients, rescales the low
@@ -192,7 +193,7 @@ def make_random_fourier_target(
     energy_high = float(np.sum(c[split:] ** 2))
     c[:split] *= r * np.sqrt(energy_high / energy_low)
     fm = FeatureMap(n_variables=1, degrees=((kappa - 1) // 2,))
-    grid = -np.pi + 2.0 * np.pi * np.arange(norm_grid) / norm_grid
+    grid = -np.pi + 2.0 * np.pi * np.arange(_NORM_GRID) / _NORM_GRID
     values = feature_matrix(grid[:, None], fm) @ c
     c *= 0.95 / float(np.abs(values).max())
     return FourierTarget(coefficients=c, split_index=split, requested_ratio=r, seed=seed)
@@ -687,7 +688,6 @@ def run_expressivity_comparison(
     n_qubits: int = 4,
     n_layers: int = 1,
     base_seed: int = 0,
-    threads: int | None = None,
 ) -> ComparisonResult:
     """Expressivity comparison on random bounded Fourier targets.
 
@@ -698,7 +698,9 @@ def run_expressivity_comparison(
     records are collected.  Classically easy targets (large ``r``) are
     learnable by the truncated model; low-``r`` targets concentrate
     energy in high frequencies the classical model cannot represent
-    while the full-spectrum quantum model can.
+    while the full-spectrum quantum model can.  Runs execute serially in
+    ratio-major order; each run's target and both training seeds are
+    derived from ``(base_seed, r_index, run)`` alone.
     """
     r_values = [float(r) for r in r_values]
     fm = FeatureMap(n_variables=1, degrees=((kappa - 1) // 2,))
@@ -707,38 +709,31 @@ def run_expressivity_comparison(
         topology=Parallel(), encoding=exponential_weights(n_qubits),
     )
 
-    def one_run(r_index: int, run: int) -> tuple[ResultRecord, ResultRecord]:
-        target = make_random_fourier_target(
-            kappa, split, r_values[r_index], seed=_derived_seed(base_seed, r_index, run)
-        )
-        data = make_grid_dataset(target, n_points)
-        q_cfg = TrainConfig(
-            learning_rate=learning_rate, steps=steps,
-            seed=_derived_seed(base_seed, r_index, run, 1),
-        )
-        c_cfg = TrainConfig(
-            learning_rate=learning_rate, steps=steps,
-            seed=_derived_seed(base_seed, r_index, run, 2),
-        )
-        quantum = train(spec, data, q_cfg)
-        classical_model = ClassicalModel(
-            coefficients=np.zeros(classical_dimension),
-            projection=leading_feature_projection(fm, classical_dimension),
-        )
-        classical = train(classical_model, data, c_cfg, feature_map=fm)
-        return quantum, classical
-
-    tasks = [(ri, run) for ri in range(len(r_values)) for run in range(runs)]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: one_run(*t), tasks))
-    else:
-        results = [one_run(*t) for t in tasks]
-    quantum = [[None] * runs for _ in r_values]
-    classical = [[None] * runs for _ in r_values]
-    for (ri, run), (q_rec, c_rec) in zip(tasks, results):
-        quantum[ri][run] = q_rec
-        classical[ri][run] = c_rec
+    quantum: list[list[ResultRecord]] = []
+    classical: list[list[ResultRecord]] = []
+    for r_index, r in enumerate(r_values):
+        q_row, c_row = [], []
+        for run in range(runs):
+            target = make_random_fourier_target(
+                kappa, split, r, seed=_derived_seed(base_seed, r_index, run)
+            )
+            data = make_grid_dataset(target, n_points)
+            q_cfg = TrainConfig(
+                learning_rate=learning_rate, steps=steps,
+                seed=_derived_seed(base_seed, r_index, run, 1),
+            )
+            c_cfg = TrainConfig(
+                learning_rate=learning_rate, steps=steps,
+                seed=_derived_seed(base_seed, r_index, run, 2),
+            )
+            q_row.append(train(spec, data, q_cfg))
+            classical_model = ClassicalModel(
+                coefficients=np.zeros(classical_dimension),
+                projection=leading_feature_projection(fm, classical_dimension),
+            )
+            c_row.append(train(classical_model, data, c_cfg, feature_map=fm))
+        quantum.append(q_row)
+        classical.append(c_row)
     return ComparisonResult(r_values=r_values, runs=runs, quantum=quantum, classical=classical)
 
 

@@ -286,7 +286,7 @@ def test_07_expressivity_comparison():
     lower on >= 4 of 5 seeds; (b) at r = 55.5 the classical model
     saturates below 1e-3."""
     start = time.perf_counter()
-    result = run_expressivity_comparison([0.05, 55.5], runs=5, threads=4)
+    result = run_expressivity_comparison([0.05, 55.5], runs=5)
     q_low = np.array([_saturated(r) for r in result.quantum[0]])
     c_low = np.array([_saturated(r) for r in result.classical[0]])
     c_high = np.array([_saturated(r) for r in result.classical[1]])

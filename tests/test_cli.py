@@ -168,19 +168,22 @@ class TestCompareCommand:
         assert main(["compare", "--config", config]) == 0
         assert (out / "losses.csv").read_bytes() == first
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOURIER_QML_THREADS", "1")
+    # compare runs serially and takes no thread cap from its config or the
+    # environment: a config that asks for one is refused before any run.
+    def test_thread_cap_env(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         doc = self._config(out)
         doc["threads"] = 8
-        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 0
-
-    def test_bad_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FOURIER_QML_THREADS", "lots")
-        out = tmp_path / "cmp"
-        doc = self._config(out)
-        doc["threads"] = 2
         assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
+        assert "'threads' was unexpected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_thread_cap(self, tmp_path, capsys):
+        # an invalid cap is refused as an unknown field, not as a bad value
+        doc = self._config(tmp_path / "cmp")
+        doc["threads"] = "lots"
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
+        assert "'threads' was unexpected" in capsys.readouterr().err
 
     def test_zero_runs_rejected(self, tmp_path):
         doc = self._config(tmp_path / "cmp")

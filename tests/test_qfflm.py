@@ -332,15 +332,24 @@ def test_adjoint_jacobian_matches_shift_rule_and_finite_differences(case):
     AnsatzSpec(n_variables=6, n_qubits=2, n_layers=2,
                topology=Serial(reuploads=2, encoders_per_block=1),
                encoding=EncodingSpec(weights=(1, 3))),
-], ids=["parallel", "rot", "ring", "serial"])
+    AnsatzSpec(n_variables=3, n_qubits=3, n_layers=1, topology=Ring(reuploads=2),
+               encoding=EncodingSpec(weights=(1, 3)), rotation_params=3),
+    AnsatzSpec(n_variables=6, n_qubits=2, n_layers=2,
+               topology=Serial(reuploads=2, encoders_per_block=1),
+               encoding=EncodingSpec(weights=(1, 3)), rotation_params=3),
+], ids=["parallel", "rot", "ring", "serial", "ring-rot", "serial-rot"])
 def test_commuting_final_rz_columns_are_exactly_zero(spec):
     """Each qubit's last trainable RZ (the RZ of a two-angle layer, the
     last-applied angle a1 of a Rot) in the final layer commutes through
-    the CNOT line with the measured Z: its adjoint column is exactly 0,
-    and every column still matches the shift rule."""
+    the CNOT line with the measured Z, and the first-applied angle a3 of
+    each first-layer Rot acts on |0>, a global phase: their adjoint
+    columns are exactly 0, and every column still matches the shift
+    rule."""
     n_tp, rot, total = param_count(spec), spec.rotation_params, spec.total_qubits
     last_layer = n_tp - rot * total
     masked = [last_layer + rot * q + (1 if rot == 2 else 0) for q in range(total)]
+    if rot == 3:
+        masked += [rot * q + 2 for q in range(total)]
     theta = init_parameters(spec, make_rng(71))
     xs = make_rng(72).uniform(-np.pi, np.pi, (5, spec.n_variables))
     _, jac = values_and_jacobian(spec, theta, xs)

@@ -1,8 +1,9 @@
 """Statevector kernel tests against dense matrix-product oracles.
 
-Every specialised kernel (RZ, RY, Rot, CNOT) is checked against the same
+Every specialised kernel (RZ, RY, CNOT) is checked against the same
 operation performed as an explicit unitary embedded with Kronecker
 products, with qubit 1 as the most significant bit of the basis index.
+The compiled program's three-angle Rot is checked the same way.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from fourierqml.statevector import (
     apply_cnot,
     apply_dense,
-    apply_rot,
     apply_ry,
     apply_rz,
     expectation_z,
@@ -22,7 +22,9 @@ from fourierqml.statevector import (
     state_norm,
 )
 
+from fourierqml.qfflm import AnsatzSpec, Parallel, apply_opening
 from fourierqml.rng import make_rng
+from fourierqml.spectra import exponential_weights
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +82,9 @@ class TestGateValidation:
     @pytest.mark.parametrize("kernel", [
         lambda amps, q: apply_ry(amps, 2, q, 0.1),
         lambda amps, q: apply_rz(amps, 2, q, 0.1),
-        lambda amps, q: apply_rot(amps, 2, q, 0.1, 0.2, 0.3),
         lambda amps, q: apply_cnot(amps, 2, q, 1),
         lambda amps, q: apply_cnot(amps, 2, 1, q),
-    ], ids=["ry", "rz", "rot", "cnot-control", "cnot-target"])
+    ], ids=["ry", "rz", "cnot-control", "cnot-target"])
     @pytest.mark.parametrize("qubit", [0, 3])
     def test_kernel_qubit_out_of_range(self, kernel, qubit):
         with pytest.raises(IndexError, match="out of range 1..2"):
@@ -120,14 +121,17 @@ class TestSingleQubitKernels:
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_rot_is_zyz_product(self):
-        """Rot(a1,a2,a3) must equal the matrix RZ(a1) RY(a2) RZ(a3),
-        i.e. RZ(a3) is applied to the state first."""
+        """A trainable Rot(a1,a2,a3) in the compiled program must equal the
+        matrix RZ(a1) RY(a2) RZ(a3), i.e. RZ(a3) is applied to the state
+        first."""
+        spec = AnsatzSpec(n_variables=1, n_qubits=1, n_layers=1, topology=Parallel(),
+                          encoding=exponential_weights(1), rotation_params=3)
         rng = make_rng(13)
         a1, a2, a3 = rng.uniform(-np.pi, np.pi, size=3)
-        amps = random_state(3, rng)
-        expected = embed(rot_matrix(a1, a2, a3), 3, 2) @ amps
-        got = apply_rot(amps.copy(), 3, 2, a1, a2, a3)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        amps = random_state(1, rng)
+        expected = rot_matrix(a1, a2, a3) @ amps
+        got = apply_opening(spec, amps[None, None, :].copy(), [[a1, a2, a3]])
+        np.testing.assert_allclose(got[0, 0], expected, atol=1e-12)
 
     def test_ry_on_zero_state(self):
         """RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>."""
@@ -264,19 +268,17 @@ def gate_sequences(draw):
     angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
     gates = []
     for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        kind = draw(st.sampled_from(["rz", "ry", "rot", "cnot"]))
+        kind = draw(st.sampled_from(["rz", "ry", "cnot"]))
         q = draw(st.integers(min_value=1, max_value=n_qubits))
         if kind in ("rz", "ry"):
             gates.append((kind, q, draw(angles)))
-        elif kind == "rot":
-            gates.append((kind, q, draw(angles), draw(angles), draw(angles)))
         elif kind == "cnot" and n_qubits > 1:
             other = draw(st.integers(min_value=1, max_value=n_qubits).filter(lambda v: v != q))
             gates.append((kind, q, other))
     return n_qubits, gates
 
 
-KERNELS = {"rz": apply_rz, "ry": apply_ry, "rot": apply_rot, "cnot": apply_cnot}
+KERNELS = {"rz": apply_rz, "ry": apply_ry, "cnot": apply_cnot}
 
 
 @settings(max_examples=60, deadline=None)

@@ -485,15 +485,35 @@ class TestExperiments:
         assert first.classical[0][0].final_loss == second.classical[0][0].final_loss
         assert first.final_losses("quantum").shape == (1, 1)
 
-    def test_comparison_threads_match_serial(self):
-        kwargs = dict(r_values=[0.5, 2.0], runs=2, kappa=9, split=6, n_points=20,
-                      steps=10, classical_dimension=6, n_qubits=2, base_seed=1)
-        serial = run_expressivity_comparison(**kwargs)
-        threaded = run_expressivity_comparison(**kwargs, threads=4)
-        np.testing.assert_array_equal(serial.final_losses("quantum"),
-                                      threaded.final_losses("quantum"))
-        np.testing.assert_array_equal(serial.final_losses("classical"),
-                                      threaded.final_losses("classical"))
+    def test_comparison_cells_match_independent_training(self):
+        def seed(*parts):
+            return int(np.random.SeedSequence(parts).generate_state(1)[0])
+
+        r_values, runs, base_seed = [0.5, 2.0], 2, 1
+        result = run_expressivity_comparison(
+            r_values, runs=runs, kappa=9, split=6, n_points=20, steps=10,
+            classical_dimension=6, n_qubits=2, base_seed=base_seed,
+        )
+        fm = FeatureMap(n_variables=1, degrees=(4,))
+        for ri, r in enumerate(r_values):
+            for run in range(runs):
+                target = make_random_fourier_target(9, 6, r, seed=seed(base_seed, ri, run))
+                data = make_grid_dataset(target, 20)
+                quantum = train(TWO_QUBIT, data, TrainConfig(
+                    learning_rate=0.03, steps=10, seed=seed(base_seed, ri, run, 1)))
+                classical = train(
+                    ClassicalModel(coefficients=np.zeros(6),
+                                   projection=leading_feature_projection(fm, 6)),
+                    data,
+                    TrainConfig(learning_rate=0.03, steps=10,
+                                seed=seed(base_seed, ri, run, 2)),
+                    feature_map=fm,
+                )
+                for got, want in ((result.quantum[ri][run], quantum),
+                                  (result.classical[ri][run], classical)):
+                    np.testing.assert_array_equal(got.loss_trace, want.loss_trace)
+                    np.testing.assert_array_equal(got.final_params, want.final_params)
+                    assert got.seed == want.seed
 
     def test_step_study_smoke(self):
         result = run_step_function_study(qubit_counts=(1, 2), seeds=(0,),
