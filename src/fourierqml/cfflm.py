@@ -26,7 +26,7 @@ from math import ceil, log, prod
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, closed_schema, load_document
 
 __all__ = [
     "FeatureMap",
@@ -308,22 +308,20 @@ def model_to_json(model: ClassicalModel, fm: FeatureMap) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_MODEL_SCHEMA = closed_schema({
+    "version": {"const": MODEL_FORMAT_VERSION},
+    "ordering": {"const": FEATURE_ORDERING},
+    "n_variables": {"type": "integer"},
+    "degrees": {"type": "array", "items": {"type": "integer"}},
+    "coefficients": _NUMBERS,
+    "projection": {"oneOf": [{"type": "null"}, {"type": "array", "items": _NUMBERS}]},
+})
+
+
 def model_from_json(text: str) -> tuple[ClassicalModel, FeatureMap]:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
-    if doc.get("ordering") != FEATURE_ORDERING:
-        raise ValueError(f"unsupported feature ordering {doc.get('ordering')!r}")
-    required = {"version", "ordering", "n_variables", "degrees", "coefficients", "projection"}
-    unknown = set(doc) - required
-    if unknown:
-        raise ValueError(f"unknown model fields: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"missing model fields: {sorted(missing)}")
-    fm = FeatureMap(n_variables=int(doc["n_variables"]), degrees=tuple(doc["degrees"]))
+    doc = load_document(text, _MODEL_SCHEMA, "model document")
+    fm = FeatureMap(n_variables=doc["n_variables"], degrees=tuple(doc["degrees"]))
     projection = doc["projection"]
     model = ClassicalModel(
         coefficients=np.asarray(doc["coefficients"], dtype=np.float64),

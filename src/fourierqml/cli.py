@@ -3,22 +3,26 @@
 One-shot queries (``spectrum``) take flags; experiments (``train``,
 ``compare``, ``plateau``, ``resources``, ``bicone``) take a ``--config``
 JSON document with a top-level ``{version, seed, output_dir}``, validated
-strictly against a schema (unknown fields are rejected, and so are the
-non-finite constants ``NaN`` and ``Infinity``).  The validated
-config is archived into the output directory next to the results.
+strictly against a schema (unknown fields, ``NaN``, ``Infinity`` and
+floats such as ``2.0`` in integer fields are rejected), then passed by
+name to the library call it configures, whose signature holds the
+defaults.  The output directory, with the config archived next to the
+results, is created once a run has finished or diverged.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
 times go to the ``run.log`` sidecar only.
 
-Exit codes: 0 success, 2 usage or config error, 3 divergence during
-training (partial trace still written), 4 capacity exceeded.
+Exit codes: 0 success, 2 usage or config error (a value the library
+rejects included), 3 divergence during training (partial trace still
+written), 4 capacity exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -26,12 +30,11 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import analysis, trainer
 from .cfflm import ClassicalModel, FeatureMap, leading_feature_projection
-from .errors import CapacityError, ConfigError, TrainingError
+from .errors import CapacityError, ConfigError, TrainingError, closed_schema, load_document
 from .qfflm import AnsatzSpec, Parallel
 from .rng import make_rng
 from .spectra import (
@@ -52,18 +55,12 @@ _EXIT_CAPACITY = 4
 
 
 def _base_schema(version: str, extra: dict, required: list[str]) -> dict:
-    properties = {
+    return closed_schema({
         "version": {"const": version},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string", "minLength": 1},
-    }
-    properties.update(extra)
-    return {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["version", "seed", "output_dir"] + required,
-        "properties": properties,
-    }
+        **extra,
+    }, ["version", "seed", "output_dir"] + required)
 
 
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
@@ -159,23 +156,17 @@ _BICONE_SCHEMA = _base_schema(
 
 
 def _load_config(path: str, schema: dict) -> dict:
-    def reject_constant(name: str):
-        # json accepts NaN and +-Infinity, which no numeric schema bound rejects
-        raise ConfigError(f"config {path}: {name} is not a finite number")
-
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle, parse_constant=reject_constant)
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
-        raise ConfigError(f"config {path}: {exc.message} (at {location})") from None
-    return doc
+    return load_document(text, schema, f"config {path}")
+
+
+def _library_fields(config: dict) -> dict:
+    """Config fields other than the run envelope, named like library parameters."""
+    return {k: v for k, v in config.items() if k not in ("version", "seed", "output_dir")}
 
 
 def _prepare_output_dir(config: dict) -> Path:
@@ -265,12 +256,8 @@ def _build_train_pieces(config: dict):
     data = trainer.make_grid_dataset(target, config.get("n_points", 200))
 
     cfg = trainer.TrainConfig(
-        learning_rate=config.get("learning_rate", 0.03),
-        steps=config.get("steps", 500),
-        batch_size=config.get("batch_size"),
-        shots=config.get("shots"),
-        seed=config["seed"],
-        recover_coefficients=config.get("recover_coefficients", False),
+        **{f.name: config[f.name] for f in dataclasses.fields(trainer.TrainConfig)
+           if f.name in config}
     )
 
     if config["family"] == "quantum":
@@ -298,18 +285,19 @@ def _build_train_pieces(config: dict):
 
 
 def _cmd_train(config: dict) -> int:
-    out = _prepare_output_dir(config)
     model, data, cfg, fm = _build_train_pieces(config)
     started = time.perf_counter()
     try:
         record = trainer.train(model, data, cfg, feature_map=fm)
     except TrainingError as exc:
+        out = _prepare_output_dir(config)
         if exc.record is not None:
             _write_json(out / "result.json", _record_doc(exc.record))
             (out / "trace.csv").write_text(exc.record.trace_csv(), encoding="utf-8")
         _log(out, f"diverged after {time.perf_counter() - started:.3f}s: {exc}")
         print(f"train: {exc} (partial results in {out})", file=sys.stderr)
         return _EXIT_DIVERGED
+    out = _prepare_output_dir(config)
     _write_json(out / "result.json", _record_doc(record))
     (out / "trace.csv").write_text(record.trace_csv(), encoding="utf-8")
     _log(out, f"train finished in {record.wall_ms:.0f} ms, "
@@ -318,21 +306,11 @@ def _cmd_train(config: dict) -> int:
 
 
 def _cmd_compare(config: dict) -> int:
-    out = _prepare_output_dir(config)
     started = time.perf_counter()
     result = trainer.run_expressivity_comparison(
-        r_values=config["r_values"],
-        runs=config["runs"],
-        kappa=config.get("kappa", 81),
-        split=config.get("split", 64),
-        n_points=config.get("n_points", 200),
-        steps=config.get("steps", 500),
-        learning_rate=config.get("learning_rate", 0.03),
-        classical_dimension=config.get("classical_dimension", 64),
-        n_qubits=config.get("n_qubits", 4),
-        n_layers=config.get("n_layers", 1),
-        base_seed=config["seed"],
+        base_seed=config["seed"], **_library_fields(config)
     )
+    out = _prepare_output_dir(config)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["r", "model", "run", "step", "loss"])
@@ -359,17 +337,11 @@ def _cmd_compare(config: dict) -> int:
 
 
 def _cmd_plateau(config: dict) -> int:
-    out = _prepare_output_dir(config)
     started = time.perf_counter()
     reports, fit = analysis.plateau_sweep(
-        config["qubit_counts"],
-        config["trials"],
-        make_rng(config["seed"]),
-        mode=config.get("mode", "haar"),
-        grad_case=config.get("grad_case", "II"),
-        n_variables=config.get("n_variables", 1),
-        n_layers=config.get("n_layers", 2),
+        rng=make_rng(config["seed"]), **_library_fields(config)
     )
+    out = _prepare_output_dir(config)
     (out / "plateau.csv").write_text(analysis.plateau_csv(reports), encoding="utf-8")
     _write_json(out / "plateau.json", {
         "reports": [r.to_dict() for r in reports],
@@ -380,7 +352,6 @@ def _cmd_plateau(config: dict) -> int:
 
 
 def _cmd_resources(config: dict) -> int:
-    out = _prepare_output_dir(config)
     rows = [
         analysis.resource_report(
             N_gt=n_gt, N_tp=config["N_tp"], K=config["K"], M=config["M"],
@@ -400,13 +371,13 @@ def _cmd_resources(config: dict) -> int:
             report.N_gt, report.resrc_q, report.resrc_c,
             int(report.advantage), _fmt(report.crossing_eps), _fmt(margin),
         ])
+    out = _prepare_output_dir(config)
     (out / "resources.csv").write_text(buffer.getvalue(), encoding="utf-8")
     _write_json(out / "resources.json", {"reports": [r.to_dict() for r in rows]})
     return _EXIT_OK
 
 
 def _cmd_bicone(config: dict) -> int:
-    out = _prepare_output_dir(config)
     rng = make_rng(config["seed"])
     fm = FeatureMap(n_variables=1, degrees=(1,))
     box = config.get("box", 1.5)
@@ -427,6 +398,7 @@ def _cmd_bicone(config: dict) -> int:
     for c, margin, analytic, numeric in disagreements:
         writer.writerow([_fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(margin),
                          int(analytic), int(numeric)])
+    out = _prepare_output_dir(config)
     (out / "disagreements.csv").write_text(buffer.getvalue(), encoding="utf-8")
     _write_json(out / "summary.json", {
         "n_samples": config["n_samples"],
@@ -529,13 +501,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "spectrum":
-        return _cmd_spectrum(args)
-    schema, runner = _CONFIG_COMMANDS[args.command]
     try:
-        config = _load_config(args.config, schema)
-        return runner(config)
-    except ConfigError as exc:
+        if args.command == "spectrum":
+            return _cmd_spectrum(args)
+        schema, runner = _CONFIG_COMMANDS[args.command]
+        return runner(_load_config(args.config, schema))
+    except ValueError as exc:  # ConfigError, or a value the library rejects
         print(f"{args.command}: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except CapacityError as exc:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one JSON input check."""
+
+import json
+
+import jsonschema
 
 
 class CapacityError(RuntimeError):
@@ -23,8 +27,54 @@ class TrainingError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration document failed validation."""
+    """A JSON document the package reads (a CLI run config, an ``ansatz-v1``
+    or ``cfflm-v1`` model) failed to parse or validate."""
 
 
 class DatasetParseError(ValueError):
     """A dataset file could not be parsed; message includes the row number."""
+
+
+def _is_integer(checker, instance) -> bool:
+    # JSON true/false parse as bool, a subclass of int; 2.0 parses as float
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _is_integer
+    ),
+)
+
+_PREFIX = {"additionalProperties": "unknown field: ", "required": "missing field: "}
+
+
+def closed_schema(properties: dict, required: list | None = None) -> dict:
+    """Object schema admitting exactly ``properties``, all required by default."""
+    return {"type": "object", "additionalProperties": False,
+            "required": list(properties) if required is None else required,
+            "properties": properties}
+
+
+def load_document(text: str, schema: dict, what: str):
+    """Parse ``text`` as JSON and validate it against ``schema``.
+
+    ``NaN`` and ``Infinity``, which no numeric bound rejects, are refused
+    while parsing; ``integer`` admits JSON integers only (``2``, not
+    ``2.0``).  Failures raise ``ConfigError`` naming ``what`` and the
+    location in the document.
+    """
+    def reject_constant(name: str):
+        raise ConfigError(f"{what}: {name} is not a finite number")
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    error = jsonschema.exceptions.best_match(_Validator(schema).iter_errors(doc))
+    if error is not None:
+        location = "/".join(str(p) for p in error.absolute_path) or "<top level>"
+        message = _PREFIX.get(error.validator, "") + error.message
+        raise ConfigError(f"{what}: {message} (at {location})")
+    return doc

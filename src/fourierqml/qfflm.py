@@ -50,7 +50,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, closed_schema, load_document
 from .spectra import EncodingSpec, FrequencySpectrum, spectrum
 from .statevector import (
     MAX_QUBITS,
@@ -289,22 +289,22 @@ def _program(spec: AnsatzSpec) -> tuple[tuple, int]:
 def _commuting_rz(spec: AnsatzSpec) -> frozenset[int]:
     """Program positions of trainable RZ gates whose derivative is exactly 0.
 
-    A qubit is mixed once an RY or encoding RY acts on it, or a CNOT from
-    a mixed control targets it.  Scanned forward from |0...0>, an RZ on an
-    unmixed qubit acts on a Z eigenstate factor, a global phase.  Scanned
-    backward from Z_measured, it commutes with the carried-back observable.
+    These are the RZ gates before the first RY on their qubit, or after
+    the last one.  Every trainable layer rotates each qubit before its
+    CNOT line, so no CNOT precedes any first RY and only the closing CNOT
+    line, which maps Z strings to Z strings, follows the last ones.  Such
+    an RZ acts on a Z eigenstate factor of |0...0> (a global phase), or
+    commutes with the Z_measured carried back to it.
     """
     ops, _ = _program(spec)
-    zero = set()
-    for order in (range(len(ops)), range(len(ops) - 1, -1, -1)):
-        mixed: set[int] = set()
-        for k in order:
-            op = ops[k]
-            if op[0] == "rz" and op[1] not in mixed:
-                zero.add(k)
-            if op[0] in ("ry", "enc_ry") or (op[0] == "cnot" and op[1] in mixed):
-                mixed.add(op[2] if op[0] == "cnot" else op[1])
-    return frozenset(zero)
+    ry_at: dict[int, list[int]] = {}
+    for k, op in enumerate(ops):
+        if op[0] in ("ry", "enc_ry"):
+            ry_at.setdefault(op[1], []).append(k)
+    return frozenset(
+        k for k, op in enumerate(ops)
+        if op[0] == "rz" and not ry_at[op[1]][0] < k < ry_at[op[1]][-1]
+    )
 
 
 def param_count(spec: AnsatzSpec) -> int:
@@ -709,74 +709,34 @@ def ansatz_to_json(spec: AnsatzSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-_TOPOLOGY_KEYS = {
-    "parallel": {"kind"},
-    "serial": {"kind", "reuploads", "encoders_per_block"},
-    "ring": {"kind", "reuploads"},
-}
-
-
-def _json_int(name: str, value) -> int:
-    # JSON true/false parse as bool, a subclass of int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"ansatz field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _json_weights(weights) -> EncodingSpec:
-    if not isinstance(weights, list):
-        raise ValueError(f"ansatz encoding weights must be a list, got {weights!r}")
-    return EncodingSpec(weights=tuple(_json_int("encoding", w) for w in weights))
+_INT = {"type": "integer"}
+_WEIGHTS = {"type": "array", "items": _INT}
+_ANSATZ_SCHEMA = closed_schema({
+    "version": {"const": ANSATZ_FORMAT_VERSION},
+    **dict.fromkeys(("n_variables", "n_qubits", "n_layers", "rotation_params", "measured_qubit"),
+                    _INT),
+    "topology": {"oneOf": [
+        closed_schema({"kind": {"const": "parallel"}}),
+        closed_schema({"kind": {"const": "serial"}, "reuploads": _INT, "encoders_per_block": _INT},
+                      ["kind", "reuploads"]),
+        closed_schema({"kind": {"const": "ring"}, "reuploads": _INT}),
+    ]},
+    # one weight list, or one per variable
+    "encoding": {"oneOf": [_WEIGHTS, {"type": "array", "items": _WEIGHTS, "minItems": 1}]},
+})
+_TOPOLOGIES = {"parallel": Parallel, "serial": Serial, "ring": Ring}
 
 
 def ansatz_from_json(text: str) -> AnsatzSpec:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("ansatz document must be a JSON object")
-    version = doc.get("version")
-    if version != ANSATZ_FORMAT_VERSION:
-        raise ValueError(f"unsupported ansatz format version {version!r}")
-    required = {
-        "version", "n_variables", "n_qubits", "n_layers",
-        "topology", "encoding", "rotation_params", "measured_qubit",
-    }
-    unknown = set(doc) - required
-    if unknown:
-        raise ValueError(f"unknown ansatz fields: {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"missing ansatz fields: {sorted(missing)}")
-    topo_doc = doc["topology"]
-    if not isinstance(topo_doc, dict):
-        raise ValueError(f"ansatz topology must be a JSON object, got {topo_doc!r}")
-    kind = topo_doc.get("kind")
-    if kind not in _TOPOLOGY_KEYS:
-        raise ValueError(f"unknown topology kind {kind!r}")
-    extra = set(topo_doc) - _TOPOLOGY_KEYS[kind]
-    if extra:
-        raise ValueError(f"unknown topology fields: {sorted(extra)}")
-    if kind == "parallel":
-        topo: Topology = Parallel()
-    elif kind == "serial":
-        topo = Serial(
-            reuploads=_json_int("reuploads", topo_doc.get("reuploads")),
-            encoders_per_block=_json_int("encoders_per_block", topo_doc.get("encoders_per_block", 2)),
+    doc = load_document(text, _ANSATZ_SCHEMA, "ansatz document")
+    del doc["version"]
+    topo_doc = doc.pop("topology")
+    topology = _TOPOLOGIES[topo_doc.pop("kind")](**topo_doc)
+    enc_doc = doc.pop("encoding")
+    if enc_doc and isinstance(enc_doc[0], list):
+        encoding: EncodingSpec | tuple[EncodingSpec, ...] = tuple(
+            EncodingSpec(weights=tuple(w)) for w in enc_doc
         )
     else:
-        topo = Ring(reuploads=_json_int("reuploads", topo_doc.get("reuploads")))
-    enc_doc = doc["encoding"]
-    if not isinstance(enc_doc, list):
-        raise ValueError(f"ansatz encoding must be a list, got {enc_doc!r}")
-    if enc_doc and isinstance(enc_doc[0], list):
-        encoding: EncodingSpec | tuple[EncodingSpec, ...] = tuple(_json_weights(w) for w in enc_doc)
-    else:
-        encoding = _json_weights(enc_doc)
-    return AnsatzSpec(
-        n_variables=_json_int("n_variables", doc["n_variables"]),
-        n_qubits=_json_int("n_qubits", doc["n_qubits"]),
-        n_layers=_json_int("n_layers", doc["n_layers"]),
-        topology=topo,
-        encoding=encoding,
-        rotation_params=_json_int("rotation_params", doc["rotation_params"]),
-        measured_qubit=_json_int("measured_qubit", doc["measured_qubit"]),
-    )
+        encoding = EncodingSpec(weights=tuple(enc_doc))
+    return AnsatzSpec(topology=topology, encoding=encoding, **doc)

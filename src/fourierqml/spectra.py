@@ -45,7 +45,7 @@ __all__ = [
 # exact integer bookkeeping is kept within 63 bits
 _SUM_CAP = 1 << 62
 _LATTICE_CAP = 1_000_000
-# 3^13 dictionary entries bound the exact nondegeneracy check
+# 3^13 dictionary entries bound spectra and the exact nondegeneracy check
 _MAX_EXACT_ROTATIONS = 13
 
 
@@ -125,6 +125,10 @@ def _recurrence(weights: tuple[int, ...]) -> Iterator[Counter[int]]:
 
 def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
     """Frequency support and multiplicities via the three-shift recurrence."""
+    if min(3**enc.n_rotations, 2 * enc.weight_sum + 1) > 3**_MAX_EXACT_ROTATIONS:
+        raise CapacityError(
+            f"spectrum of {enc.n_rotations} weights exceeds 3^{_MAX_EXACT_ROTATIONS} frequencies"
+        )
     for counts in _recurrence(enc.weights):
         pass  # weights are non-empty, so the last step is the full spectrum
     support = np.array(sorted(counts), dtype=np.int64)

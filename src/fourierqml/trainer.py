@@ -449,8 +449,8 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
         )
-    degrees = [s.d_f for s in spec.per_variable_spectra()]
     if cfg.recover_coefficients:
+        degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
         _nyquist_check(data.inputs, degrees, cfg.allow_sub_nyquist)
     rng = make_rng(cfg.seed)
     theta = init_parameters(spec, rng)
@@ -565,17 +565,15 @@ def coulomb_features(positions, charges) -> np.ndarray:
     return np.asarray(out)
 
 
-def load_csv_dataset(
-    path,
-    input_cols: list[str],
-    output_col: str,
-    input_range: tuple[float, float] = (-np.pi, np.pi),
-    output_range: tuple[float, float] = (0.03, 1.0),
-) -> Dataset:
+_CSV_INPUT_RANGE = (-np.pi, np.pi)
+_CSV_OUTPUT_RANGE = (0.03, 1.0)
+
+
+def load_csv_dataset(path, input_cols: list[str], output_col: str) -> Dataset:
     """Numeric CSV with header -> normalized Dataset.
 
-    Every column is mapped affinely onto its configured range (inputs to
-    ``input_range``, the output to ``output_range``); the affine
+    Every column is mapped affinely onto its range (inputs to
+    [-pi, pi], the output to [0.03, 1]); the affine
     parameters land in ``metadata["normalization"]`` so predictions can
     be mapped back.  Constant columns map to the range midpoint with a
     warning.  Malformed rows and non-finite cells (``nan``, ``inf``) raise
@@ -619,7 +617,7 @@ def load_csv_dataset(
     normalized = np.empty_like(raw)
     for k, name in enumerate(columns):
         lo, hi = float(raw[:, k].min()), float(raw[:, k].max())
-        range_lo, range_hi = output_range if name == output_col else input_range
+        range_lo, range_hi = _CSV_OUTPUT_RANGE if name == output_col else _CSV_INPUT_RANGE
         if hi == lo:
             warnings.warn(f"column {name!r} is constant; mapped to range midpoint", stacklevel=2)
             scale = 0.0

@@ -310,3 +310,24 @@ class TestSerialization:
         bad = dict(doc, extra=1)
         with pytest.raises(ValueError, match="unknown"):
             model_from_json(json.dumps(bad))
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_variables", 1.7),
+        ("degrees", [1.9]),
+    ], ids=["n_variables-float", "degree-float"])
+    def test_non_integer_count_rejected(self, name, value):
+        import json
+
+        fm = FeatureMap(n_variables=1, degrees=(1,))
+        doc = json.loads(model_to_json(ClassicalModel(coefficients=np.zeros(3)), fm))
+        doc[name] = value
+        with pytest.raises(ValueError, match=name):
+            model_from_json(json.dumps(doc))
+
+    def test_non_finite_projection_rejected(self):
+        fm = FeatureMap(n_variables=1, degrees=(1,))
+        proj = leading_feature_projection(fm, 2)
+        proj[1, 2] = np.nan
+        model = ClassicalModel(coefficients=np.zeros(2), projection=proj)
+        with pytest.raises(ValueError, match="NaN"):
+            model_from_json(model_to_json(model, fm))

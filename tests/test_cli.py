@@ -1,10 +1,13 @@
 """Command-line interface: schemas, outputs, exit codes, determinism."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from fourierqml.cli import main
+from fourierqml import analysis, trainer
+from fourierqml.cli import _CONFIG_COMMANDS, main
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -55,6 +58,11 @@ class TestSpectrumCommand:
         target = tmp_path / "spectrum.json"
         assert main(["spectrum", "--exp", "2", "--output", str(target)]) == 0
         assert json.loads(target.read_text())["distinct_count"] == 9
+
+    def test_oversized_spectrum_capacity(self, capsys):
+        # 3^20 frequencies would be built one dict entry each
+        assert main(["spectrum", "--exp", "20"]) == 4
+        assert "capacity exceeded" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -282,3 +290,101 @@ class TestHelpText:
         schema, _ = _CONFIG_COMMANDS[command]
         for field_name in schema["properties"]:
             assert field_name in text
+
+
+def compare_config(out_dir, **overrides):
+    doc = {
+        "version": "compare-v1", "seed": 2, "output_dir": str(out_dir),
+        "r_values": [1.0], "runs": 1, "kappa": 9, "split": 6,
+        "n_points": 20, "steps": 5, "classical_dimension": 6, "n_qubits": 2,
+    }
+    doc.update(overrides)
+    return doc
+
+
+def plateau_config(out_dir, **overrides):
+    doc = {"version": "plateau-v1", "seed": 5, "output_dir": str(out_dir),
+           "qubit_counts": [1, 2], "trials": 150}
+    doc.update(overrides)
+    return doc
+
+
+class TestIntegerFields:
+    """Integer fields take JSON integers only: 2.0 is a config error."""
+
+    @pytest.mark.parametrize("command,make_doc,field", [
+        ("train", lambda out: quantum_train_config(out, n_qubits=2.0), "n_qubits"),
+        ("train", lambda out: quantum_train_config(out, seed=1.0), "seed"),
+        ("compare", lambda out: compare_config(out, runs=1.0), "runs"),
+        ("plateau", lambda out: plateau_config(out, qubit_counts=[2.0]), "qubit_counts"),
+        ("resources", lambda out: {
+            "version": "resources-v1", "seed": 0, "output_dir": str(out),
+            "K": 81.0, "M": 1, "eps": 0.5, "N_tp": 16, "gate_counts": [4],
+        }, "K"),
+        ("bicone", lambda out: {
+            "version": "bicone-v1", "seed": 7, "output_dir": str(out),
+            "n_samples": 10.0, "grid_points": 64,
+        }, "n_samples"),
+    ], ids=["train-n_qubits", "train-seed", "compare-runs", "plateau-qubit_counts",
+            "resources-K", "bicone-n_samples"])
+    def test_float_rejected(self, tmp_path, capsys, command, make_doc, field):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, make_doc(out))
+        assert main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "is not of type 'integer'" in err
+        assert f"(at {field}" in err
+        assert not out.exists()
+
+
+class TestLibraryRejections:
+    """A value the library rejects is a config error with the library's message."""
+
+    @pytest.mark.parametrize("command,make_doc,message", [
+        ("train", lambda out: quantum_train_config(out, target={
+            "kind": "random_fourier", "kappa": 4, "split": 2, "r": 1.0, "target_seed": 3,
+        }), "kappa must be odd"),
+        ("train", lambda out: {
+            "version": "train-v1", "seed": 0, "output_dir": str(out), "family": "classical",
+            "degree": 3, "dimension": 50, "target": {"kind": "step"}, "steps": 5,
+        }, "dimension must be in 1..7"),
+        ("train", lambda out: quantum_train_config(out, n_qubits=3, encoding=[1, 3]),
+         "one weight per qubit"),
+        ("train", lambda out: quantum_train_config(
+            out, n_qubits=3, n_points=10, recover_coefficients=True), "alias"),
+        ("train", lambda out: quantum_train_config(
+            out, target={"kind": "coefficients", "values": [0.1, 0.2]}), "odd length"),
+        ("compare", lambda out: compare_config(out, split=12), "split must be in 1..8"),
+        ("plateau", lambda out: plateau_config(out, qubit_counts=[2]), "two sizes"),
+    ], ids=["train-kappa", "train-dimension", "train-encoding", "train-sub-nyquist",
+            "train-even-coefficients", "compare-split", "plateau-one-count"])
+    def test_exit_code_and_message(self, tmp_path, capsys, command, make_doc, message):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, make_doc(out))
+        assert main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ")
+        assert message in err
+        assert not out.exists()
+
+
+class TestConfigBinding:
+    """Config fields bind by name to the library call they configure."""
+
+    @pytest.mark.parametrize("command,function", [
+        ("compare", trainer.run_expressivity_comparison),
+        ("plateau", analysis.plateau_sweep),
+    ])
+    def test_fields_are_parameters(self, command, function):
+        schema, _ = _CONFIG_COMMANDS[command]
+        fields = set(schema["properties"]) - {"version", "seed", "output_dir"}
+        assert fields <= set(inspect.signature(function).parameters)
+
+    def test_train_config_fields(self):
+        # a renamed TrainConfig field would silently drop out of the binding
+        schema, _ = _CONFIG_COMMANDS["train"]
+        named = {f.name for f in dataclasses.fields(trainer.TrainConfig)} & set(
+            schema["properties"]
+        )
+        assert named == {"seed", "learning_rate", "steps", "batch_size", "shots",
+                         "recover_coefficients"}

@@ -704,7 +704,9 @@ class TestSerialization:
         ("encoding", 5),
         ("n_layers", 1.7),
         ("n_layers", True),
-    ], ids=["topology-not-object", "encoding-not-list", "count-float", "count-bool"])
+        ("n_layers", 2.0),
+    ], ids=["topology-not-object", "encoding-not-list", "count-float", "count-bool",
+            "count-integral-float"])
     def test_malformed_field_rejected(self, name, value):
         import json
 

@@ -93,6 +93,17 @@ class TestSpectrum:
         spec = spectrum(EncodingSpec(weights=tuple(weights)))
         assert spec.multiplicity.sum() == 3 ** len(weights)
 
+    def test_capacity_cap(self):
+        # 3^14 distinct frequencies would be enumerated one dict entry each
+        with pytest.raises(CapacityError, match="spectrum"):
+            spectrum(exponential_weights(14))
+
+    def test_many_small_weights_stay_under_cap(self):
+        # 3^40 sign vectors, but only 81 distinct frequencies
+        spec = spectrum(naive_weights(40))
+        np.testing.assert_array_equal(spec.support, np.arange(-40, 41))
+        assert sum(int(m) for m in spec.multiplicity) == 3**40
+
 
 class TestStructurePredicates:
     @pytest.mark.parametrize(

@@ -355,6 +355,16 @@ class TestQuantumTraining(SharedLoopChecks):
         with pytest.warns(UserWarning, match="alias"):
             train(TWO_QUBIT, data, override)
 
+    def test_training_without_recovery_enumerates_no_spectrum(self, monkeypatch):
+        import fourierqml.qfflm
+
+        def refuse(enc):
+            raise AssertionError("spectrum enumerated")
+
+        monkeypatch.setattr(fourierqml.qfflm, "spectrum", refuse)
+        record = train(TWO_QUBIT, make_step_dataset(6), TrainConfig(steps=2, seed=0))
+        assert len(record.loss_trace) == 3
+
     def test_recovered_coefficients_match_spectral_analysis(self):
         data = make_step_dataset(12)
         cfg = TrainConfig(steps=2, seed=3, recover_coefficients=True)
