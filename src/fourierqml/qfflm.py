@@ -27,17 +27,34 @@ Trainable blocks are hardware-efficient: ``n_layers`` repetitions of
 per-qubit rotations (RY then RZ with ``rotation_params=2``, or a full
 ``Rot`` with 3) followed by a CNOT line (ring for ``Ring``).
 
-All evaluation goes through one gate-by-gate pass over amplitude arrays
-of shape ``(theta_variants, data_points, 2**n)``: every gate of the
-compiled program acts on the whole batch.  Exact Jacobians come from
-adjoint differentiation (Jones & Gacon, arXiv:2009.02823): one forward
-pass to the final states and one backward pass that undoes the gates in
-reverse, carrying the states together with ``Z_measured`` applied to
-them and reading each trainable angle's derivative on the way.  With
-finite shots every circuit of the parameter-shift rule is a separately
-sampled measurement, so the ``2 N_tp + 1`` shifted variants run as one
-batch; the same shift rule is the exact-gradient oracle
-(``gradient_parameter_shift``).
+Evaluation runs the compiled gate program over amplitude arrays of shape
+``(theta_variants, data_points, 2**n)``.  The opening trainable block
+never reads the data, so it runs once per variant and its state is
+copied to every row; every later gate acts on the whole batch.
+
+Exact Jacobians come from adjoint differentiation (Jones & Gacon,
+arXiv:2009.02823) over a trimmed copy of the program, fixed by the spec:
+
+* RZ gates on a qubit nothing has rotated yet are dropped: on the
+  ``|0>`` factor of ``|0...0>`` they are global phases.
+* Trailing RZ and CNOT gates on qubits no later kept gate touches are
+  folded into the observable: an RZ commutes with a diagonal observable
+  and a CNOT permutes it, so ``Z_measured`` becomes a diagonal +-1 Z
+  string.
+* The opening block runs once, at the base angles and at each of its
+  trainable angles shifted by pi.  ``R_G(t + pi) = -iG R_G(t)``, so each
+  shifted state is that angle's tangent.
+
+One forward pass over the data takes the opening state to the final
+states; one backward pass undoes the kept gates in reverse, carrying the
+states together with the observable applied to them and reading each
+later trainable angle's derivative on the way.  The co-state it carries
+back to the end of the opening block meets the opening tangents in one
+matrix product.  Dropped and folded trainable RZ gates have derivative
+exactly 0.  With finite shots every circuit of the parameter-shift rule
+is a separately sampled measurement, so the ``2 N_tp + 1`` shifted
+variants run as one batch on the full program; the same shift rule is
+the exact-gradient oracle (``gradient_parameter_shift``).
 """
 
 from __future__ import annotations
@@ -285,26 +302,58 @@ def _program(spec: AnsatzSpec) -> tuple[tuple, int]:
     return tuple(ops), idx
 
 
-@lru_cache(maxsize=None)
-def _commuting_rz(spec: AnsatzSpec) -> frozenset[int]:
-    """Program positions of trainable RZ gates whose derivative is exactly 0.
+def _is_encoding(op: tuple) -> bool:
+    return op[0].startswith("enc_")
 
-    These are the RZ gates before the first RY on their qubit, or after
-    the last one.  Every trainable layer rotates each qubit before its
-    CNOT line, so no CNOT precedes any first RY and only the closing CNOT
-    line, which maps Z strings to Z strings, follows the last ones.  Such
-    an RZ acts on a Z eigenstate factor of |0...0> (a global phase), or
-    commutes with the Z_measured carried back to it.
+
+def _opening_length(ops: tuple) -> int:
+    """Number of ops before the first encoding gate: the opening block."""
+    return next((k for k, op in enumerate(ops) if _is_encoding(op)), len(ops))
+
+
+def _qubits(op: tuple) -> tuple[int, ...]:
+    return op[1:3] if op[0] == "cnot" else op[1:2]
+
+
+@lru_cache(maxsize=None)
+def _trimmed(spec: AnsatzSpec) -> tuple[tuple, tuple, np.ndarray]:
+    """The program the adjoint pass runs: ``(opening, rows, observable)``.
+
+    A forward scan drops the RZ gates on qubits that no earlier gate has
+    rotated; each multiplies |0...0> by a phase.  A backward scan folds
+    the RZ and CNOT gates on qubits that no later kept gate touches into
+    the diagonal observable: they commute past the kept gates, an RZ
+    commutes with a diagonal observable and a CNOT permutes its entries.
+    The kept gates are split at the first encoding gate into the opening
+    block, which never reads the data, and the gates run per row.  The
+    observable is ``Z_measured`` conjugated by the folded gates, a
+    read-only vector of +-1 on the basis states.
     """
     ops, _ = _program(spec)
-    ry_at: dict[int, list[int]] = {}
+    n = spec.total_qubits
+    rotated: set[int] = set()
+    forward = []
     for k, op in enumerate(ops):
-        if op[0] in ("ry", "enc_ry"):
-            ry_at.setdefault(op[1], []).append(k)
-    return frozenset(
-        k for k, op in enumerate(ops)
-        if op[0] == "rz" and not ry_at[op[1]][0] < k < ry_at[op[1]][-1]
-    )
+        if op[0] in ("rz", "enc_rz") and op[1] not in rotated:
+            continue
+        rotated.update(_qubits(op))
+        forward.append(k)
+    observable = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - spec.measured_qubit)) & 1)
+    live: set[int] = set()
+    kept = []
+    for k in reversed(forward):
+        op = ops[k]
+        if op[0] not in ("ry", "enc_ry") and live.isdisjoint(_qubits(op)):
+            if op[0] == "cnot":
+                observable = apply_cnot(observable, n, op[1], op[2])
+            continue
+        live.update(_qubits(op))
+        kept.append(k)
+    observable.flags.writeable = False
+    n_open = _opening_length(ops)
+    return (tuple(ops[k] for k in reversed(kept) if k < n_open),
+            tuple(ops[k] for k in reversed(kept) if k >= n_open),
+            observable)
 
 
 def param_count(spec: AnsatzSpec) -> int:
@@ -322,10 +371,6 @@ def count_gates(spec: AnsatzSpec) -> int:
     return len(_program(spec)[0])
 
 
-def _is_encoding(op: tuple) -> bool:
-    return op[0].startswith("enc_")
-
-
 def apply_opening(spec: AnsatzSpec, amps: np.ndarray, angles, x=None) -> np.ndarray:
     """Run the first trainable block, and with ``x`` the encoding run after it.
 
@@ -337,7 +382,7 @@ def apply_opening(spec: AnsatzSpec, amps: np.ndarray, angles, x=None) -> np.ndar
     of theta.
     """
     ops, _ = _program(spec)
-    block = tuple(takewhile(lambda op: not _is_encoding(op), ops))
+    block = ops[:_opening_length(ops)]
     n_block = sum(op[0] != "cnot" for op in block)
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 2 or angles.shape[1] != n_block:
@@ -363,7 +408,9 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
 
     ``thetas``: (variants, N_tp); ``xs``: (data, M).  Trainable angles
     broadcast along the data axis and encoding angles along the variant
-    axis, so one pass covers every (theta variant, datum) pair.
+    axis, so one pass covers every (theta variant, datum) pair.  The
+    opening block reads no data: it runs on one row per variant, which is
+    then copied to every row, with the same arithmetic as a full batch.
     """
     ops, n_params = _program(spec)
     if thetas.shape[1] != n_params:
@@ -373,9 +420,16 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     if not (np.isfinite(thetas).all() and np.isfinite(xs).all()):
         raise ValueError("theta and x entries must be finite")
     n = spec.total_qubits
-    amps = np.zeros((thetas.shape[0], xs.shape[0], 1 << n), dtype=np.complex128)
+    n_open = _opening_length(ops)
+    amps = _apply_ops(_zero_states(thetas.shape[0], n), n, ops[:n_open], thetas, None)
+    return _apply_ops(np.repeat(amps, xs.shape[0], axis=1), n, ops[n_open:], thetas, xs)
+
+
+def _zero_states(variants: int, n: int) -> np.ndarray:
+    """|0...0> as amplitudes of shape (variants, 1, 2**n)."""
+    amps = np.zeros((variants, 1, 1 << n), dtype=np.complex128)
     amps[:, :, 0] = 1.0
-    return _apply_ops(amps, n, ops, thetas, xs)
+    return amps
 
 
 def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> np.ndarray:
@@ -478,12 +532,18 @@ def values_and_jacobian(
     """Model values and their Jacobian in theta over a dataset.
 
     Returns ``(values, jac)`` with shapes ``(n,)`` and ``(n, N_tp)``.
-    Exact values come with the adjoint Jacobian: one forward and one
-    backward pass over the data, with no shifted circuits.  With
-    ``shots`` set, every value is a finite-shot estimate drawn from
-    ``rng``, and the Jacobian is the parameter-shift rule over the
-    ``2 N_tp + 1`` sampled circuits (base, +pi/2 and -pi/2 shifts of
-    each angle), as hardware would measure it.
+    Exact values come with the adjoint Jacobian over the trimmed program
+    (see the module docstring): the opening block runs once, with one
+    pi-shifted variant per trainable angle as that angle's tangent; one
+    forward and one backward pass over the data run only the gates from
+    the first encoding gate on, measured against the folded diagonal
+    observable.  The opening block's columns are one matrix product of
+    the co-state carried back to it with its tangents.  Dropped and
+    folded trainable RZ gates get columns of exactly 0.  With ``shots``
+    set, every value is a finite-shot estimate drawn from ``rng``, and
+    the Jacobian is the parameter-shift rule over the ``2 N_tp + 1``
+    sampled circuits of the full program (base, +pi/2 and -pi/2 shifts
+    of each angle), as hardware would measure it.
     """
     theta = _as_theta(spec, theta)
     xs = _as_inputs(spec, xs)
@@ -492,27 +552,34 @@ def values_and_jacobian(
             raise ValueError("sampled evaluation needs an rng")
         return _shift_rule(spec, theta, xs, shots, rng)
     # Adjoint pass.  With phi the state after a trainable gate R_G(t) and
-    # lam = Z_measured phi_final carried back to the same point,
-    # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the program
-    # in reverse, each gate's derivative is read, then the gate is undone
-    # on the (phi, lam) pair.
-    ops, n_tp = _program(spec)
-    n, measured = spec.total_qubits, spec.measured_qubit
+    # lam = O phi_final carried back to the same point, O the observable,
+    # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the gates
+    # run per row in reverse, each gate's derivative is read, then the
+    # gate is undone on the (phi, lam) pair; below the first such read
+    # only lam is carried on, to the end of the opening block.
+    opening, per_row, observable = _trimmed(spec)
+    n, n_tp = spec.total_qubits, param_count(spec)
     thetas = theta[None, :]
-    phi = _run_batch(spec, thetas, xs)
-    values = expectation_z(phi, n, measured)[0]
-    z = 1.0 - 2.0 * ((np.arange(1 << n) >> (n - measured)) & 1)
-    pair = np.concatenate([phi, z * phi])
+    cols = [op[2] for op in opening if op[0] != "cnot"]
+    variants = np.tile(theta, (1 + len(cols), 1))
+    variants[1 + np.arange(len(cols)), cols] += np.pi
+    opened = _apply_ops(_zero_states(len(variants), n), n, opening, variants, None)[:, 0]
+    phi = _apply_ops(np.repeat(opened[None, :1], xs.shape[0], axis=1), n, per_row, thetas, xs)[0]
+    values = (phi.real**2 + phi.imag**2) @ observable
+    pair = np.stack([phi, observable * phi])
     generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
     jac = np.zeros((xs.shape[0], n_tp))
-    zero = _commuting_rz(spec)  # their columns stay exactly 0
-    for k in range(len(ops) - 1, -1, -1):
-        op = ops[k]
-        if op[0] == "ry" or (op[0] == "rz" and k not in zero):
+    first = next((k for k, op in enumerate(per_row) if op[0] in ("ry", "rz")), len(per_row))
+    for k in range(len(per_row) - 1, first - 1, -1):
+        op = per_row[k]
+        if op[0] in ("ry", "rz"):
             g = _apply_ops(pair[:1].copy(), n, (op,), generator, None)[0]
             jac[:, op[2]] = (pair[1].conj() * g).real.sum(axis=-1)
-        if k:  # the first gate needs no undoing
+        if k > first:
             pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
+    if cols:
+        lam = _apply_ops(pair[1:], n, per_row[:first + 1][::-1], undo_thetas, undo_xs)[0]
+        jac[:, cols] = (lam.conj() @ opened[1:].T).real
     return values, jac
 
 

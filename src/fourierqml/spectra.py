@@ -109,6 +109,11 @@ class FrequencySpectrum:
     def distinct_count(self) -> int:
         return len(self.support)
 
+    @property
+    def is_dense(self) -> bool:
+        """True iff the support covers every integer in ``[-d_F, d_F]``."""
+        return self.distinct_count == self.feature_dimension
+
 
 def _recurrence(weights: tuple[int, ...]) -> Iterator[Counter[int]]:
     """Frequency multiplicities after each weight of the three-shift recurrence."""
@@ -131,6 +136,11 @@ def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
         )
     for counts in _recurrence(enc.weights):
         pass  # weights are non-empty, so the last step is the full spectrum
+    if max(counts.values()) > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"the spectrum of {enc.n_rotations} weights has a multiplicity beyond the "
+            "63-bit bookkeeping budget"
+        )
     support = np.array(sorted(counts), dtype=np.int64)
     multiplicity = np.array([counts[int(v)] for v in support], dtype=np.int64)
     return FrequencySpectrum(support=support, multiplicity=multiplicity)
@@ -171,9 +181,7 @@ def is_maximally_nondegenerate(enc: EncodingSpec) -> bool:
 
 def is_dense(enc: EncodingSpec) -> bool:
     """True iff the support covers every integer in [-sum(beta), sum(beta)]."""
-    spec = spectrum(enc)
-    total = enc.weight_sum
-    return spec.distinct_count == 2 * total + 1
+    return spectrum(enc).is_dense
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ divergence abort and the result record.  A thin adapter per family
 validates its inputs, keeps its resource counters and hands the loop
 three callables: values and Jacobian on a batch, exact values on the
 training or test data, and coefficient recovery.  The quantum Jacobian
-is one ``values_and_jacobian`` call per step: an adjoint pass with exact
-expectations, the parameter-shift rule over sampled circuits with
-``shots``.  Either way the quantum resource counters price the
-parameter-shift protocol, ``2 N_tp + 1`` circuits per batch point, which
-is what hardware would run.  The classical Jacobian is the batch's rows
-of the precomputed (projected) feature matrix.
+is one ``values_and_jacobian`` call per step: with exact expectations an
+adjoint pass that runs the opening trainable block once and, per data
+point, only the gates from the first encoding on (trailing RZ and CNOT
+gates folded into the observable); with ``shots`` the parameter-shift
+rule over sampled circuits.  Either way the quantum resource counters
+price the parameter-shift protocol, ``2 N_tp + 1`` circuits of the full
+program per batch point, which is what hardware would run.  The
+classical Jacobian is the batch's rows of the precomputed (projected)
+feature matrix.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fourierqml import analysis, trainer
+from fourierqml import analysis, spectra, trainer
 from fourierqml.cli import _CONFIG_COMMANDS, main
 
 
@@ -31,6 +31,38 @@ def quantum_train_config(out_dir, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+SPECTRUM_1_2 = """{
+  "d_f": 3,
+  "dense": true,
+  "distinct_count": 7,
+  "feature_dimension": 7,
+  "maximally_nondegenerate": false,
+  "multiplicity": [
+    1,
+    1,
+    2,
+    1,
+    2,
+    1,
+    1
+  ],
+  "support": [
+    -3,
+    -2,
+    -1,
+    0,
+    1,
+    2,
+    3
+  ],
+  "weights": [
+    1,
+    2
+  ]
+}
+"""
 
 
 class TestSpectrumCommand:
@@ -63,6 +95,29 @@ class TestSpectrumCommand:
         # 3^20 frequencies would be built one dict entry each
         assert main(["spectrum", "--exp", "20"]) == 4
         assert "capacity exceeded" in capsys.readouterr().err
+
+    def test_multiplicity_overflow_capacity(self, capsys):
+        # 45 equal weights: the central multiplicity exceeds int64
+        assert main(["spectrum", "--weights", ",".join(["1"] * 45)]) == 4
+        err = capsys.readouterr().err
+        assert "capacity exceeded" in err and "63-bit" in err
+
+    def test_output_bytes(self, capsys):
+        assert main(["spectrum", "--weights", "1,2"]) == 0
+        assert capsys.readouterr().out == SPECTRUM_1_2
+
+    def test_spectrum_enumerated_once(self, monkeypatch, capsys):
+        runs = []
+        recurrence = spectra._recurrence
+
+        def counted(weights):
+            runs.append(weights)
+            return recurrence(weights)
+
+        monkeypatch.setattr(spectra, "_recurrence", counted)
+        assert main(["spectrum", "--exp", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["dense"]
+        assert runs == [(1, 3, 9)]
 
 
 class TestTrainCommand:

@@ -278,27 +278,31 @@ class TestFusedEvaluation:
 
 
 @st.composite
-def jacobian_cases(draw):
-    """A spec of any topology, parameters, and a batch of inputs."""
+def jacobian_cases(draw, max_qubits=2, any_measured=False):
+    """A spec of any topology, parameters, and a batch of inputs.
+
+    The measured qubit is the first or the last one, or with
+    ``any_measured`` any qubit."""
     topology = draw(st.sampled_from(["parallel", "serial", "ring"]))
     rotation_params = draw(st.sampled_from([2, 3]))
     n_layers = draw(st.integers(min_value=0, max_value=2))
     if topology == "parallel":
         n_variables = draw(st.integers(min_value=1, max_value=2))
-        n_qubits = draw(st.integers(min_value=1, max_value=2))
+        n_qubits = draw(st.integers(min_value=1, max_value=max_qubits))
         kwargs = dict(topology=Parallel(), encoding=exponential_weights(n_qubits))
     elif topology == "serial":
-        n_qubits = draw(st.integers(min_value=1, max_value=2))
+        n_qubits = draw(st.integers(min_value=1, max_value=max_qubits))
         n_variables = 3 * n_qubits
         kwargs = dict(topology=Serial(reuploads=2, encoders_per_block=1),
                       encoding=EncodingSpec(weights=(1, 3)))
     else:
-        n_qubits = n_variables = draw(st.integers(min_value=1, max_value=2))
+        n_qubits = n_variables = draw(st.integers(min_value=1, max_value=max_qubits))
         kwargs = dict(topology=Ring(reuploads=2), encoding=EncodingSpec(weights=(1, 2)))
     total = n_variables * n_qubits if topology == "parallel" else n_qubits
+    measured = (st.integers(min_value=1, max_value=total) if any_measured
+                else st.sampled_from([1, total]))
     spec = AnsatzSpec(n_variables=n_variables, n_qubits=n_qubits, n_layers=n_layers,
-                      rotation_params=rotation_params,
-                      measured_qubit=draw(st.sampled_from([1, total])), **kwargs)
+                      rotation_params=rotation_params, measured_qubit=draw(measured), **kwargs)
     rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     rows = (1 << total) + draw(st.sampled_from([-1, 2]))
     return spec, init_parameters(spec, rng), rng.uniform(-np.pi, np.pi, (rows, n_variables))
@@ -357,6 +361,98 @@ def test_commuting_final_rz_columns_are_exactly_zero(spec):
     for row, x in enumerate(xs):
         np.testing.assert_allclose(jac[row], gradient_parameter_shift(spec, theta, x),
                                    rtol=0, atol=1e-12)
+
+
+def dropped_params(spec):
+    """Trainable angles whose gates the adjoint pass's trimmed program lacks."""
+    opening, per_row, _ = qfflm._trimmed(spec)
+    ops, _ = qfflm._program(spec)
+    kept = {op[2] for op in opening + per_row if op[0] in ("ry", "rz")}
+    return sorted({op[2] for op in ops if op[0] in ("ry", "rz")} - kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jacobian_cases(max_qubits=3, any_measured=True))
+def test_trimmed_adjoint_matches_full_program(case):
+    """Differential check of the trimmed adjoint pass with any measured
+    qubit, so that folded CNOT lines turn Z_measured into multi-qubit Z
+    strings: columns equal the shift rule on the full program, the
+    dropped RZ columns are exactly 0, and values equal evaluate_batch."""
+    spec, theta, xs = case
+    xs = xs[:3]
+    values, jac = values_and_jacobian(spec, theta, xs)
+    np.testing.assert_allclose(values, evaluate_batch(spec, theta, xs), rtol=0, atol=1e-14)
+    assert np.all(jac[:, dropped_params(spec)] == 0.0)
+    for row, x in enumerate(xs):
+        np.testing.assert_allclose(jac[row], gradient_parameter_shift(spec, theta, x),
+                                   rtol=0, atol=1e-12)
+
+
+def parity(n):
+    """The +-1 diagonal of Z on every one of n qubits."""
+    return np.array([(-1.0) ** bin(i).count("1") for i in range(1 << n)])
+
+
+class TestTrimmedProgram:
+    """The gates the adjoint pass runs, and the observable they leave."""
+
+    @staticmethod
+    def parallel(**kwargs):
+        return AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
+                          encoding=exponential_weights(4), **kwargs)
+
+    def test_final_rz_and_cnot_line_fold(self):
+        spec = self.parallel()
+        ops, _ = qfflm._program(spec)
+        opening, per_row, observable = qfflm._trimmed(spec)
+        assert len(ops) == 26
+        assert opening == ops[:11]  # W1 whole: every RZ follows an RY on its qubit
+        # the four encodings and W2's four RYs; its RZs and CNOTs fold
+        assert per_row == ops[11:15] + tuple(op for op in ops[15:] if op[0] == "ry")
+        assert len(per_row) == 8
+        # Z_4 carried back through the CNOT line is Z on every qubit
+        np.testing.assert_array_equal(observable, parity(4))
+
+    def test_first_qubit_observable_survives_the_cnot_line(self):
+        _, _, observable = qfflm._trimmed(self.parallel(measured_qubit=1))
+        np.testing.assert_array_equal(observable, np.repeat([1.0, -1.0], 8))
+
+    def test_first_layer_rot_phases_drop(self):
+        spec = self.parallel(rotation_params=3)
+        ops, _ = qfflm._program(spec)
+        opening, per_row, _ = qfflm._trimmed(spec)
+        # each qubit's Rot applies RZ(a3) first, on |0>: a global phase
+        first_a3 = {3 * q for q in range(4)}
+        assert opening == tuple(op for k, op in enumerate(ops[:15]) if k not in first_a3)
+        last_a1 = {19 + 3 * q + 2 for q in range(4)}
+        assert per_row == ops[15:19] + tuple(
+            op for k, op in enumerate(ops[19:], start=19)
+            if op[0] != "cnot" and k not in last_a1
+        )
+        assert dropped_params(spec) == sorted(
+            [3 * q + 2 for q in range(4)] + [12 + 3 * q for q in range(4)]
+        )
+
+    def test_no_layers_leaves_nothing(self):
+        spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=0, topology=Parallel(),
+                          encoding=exponential_weights(3))
+        opening, per_row, _ = qfflm._trimmed(spec)
+        assert opening == per_row == ()
+        xs = make_rng(73).uniform(-np.pi, np.pi, (4, 1))
+        values, jac = values_and_jacobian(spec, np.zeros(0), xs)
+        np.testing.assert_array_equal(values, np.ones(4))
+        assert jac.shape == (4, 0)
+
+    @pytest.mark.parametrize("name", list(JACOBIAN_SPECS))
+    def test_run_once_opening_is_bit_identical(self, name):
+        """_run_batch runs the opening block on one row per variant and
+        copies it to every row; the amplitudes equal those of every gate
+        run on the whole batch, bit for bit."""
+        spec = JACOBIAN_SPECS[name]
+        thetas = shifted_variants(init_parameters(spec, make_rng(74)))
+        xs = make_rng(75).uniform(-np.pi, np.pi, (9, spec.n_variables))
+        np.testing.assert_array_equal(qfflm._run_batch(spec, thetas, xs),
+                                      gate_path_amplitudes(spec, thetas, xs))
 
 
 # ---------------------------------------------------------------------------

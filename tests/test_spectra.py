@@ -104,6 +104,12 @@ class TestSpectrum:
         np.testing.assert_array_equal(spec.support, np.arange(-40, 41))
         assert sum(int(m) for m in spec.multiplicity) == 3**40
 
+    def test_multiplicity_cap(self):
+        # the central multiplicity of 43 equal weights exceeds int64; 42 fit
+        assert spectrum(naive_weights(42)).multiplicity.min() == 1
+        with pytest.raises(CapacityError, match="63-bit"):
+            spectrum(naive_weights(43))
+
 
 class TestStructurePredicates:
     @pytest.mark.parametrize(
@@ -124,6 +130,10 @@ class TestStructurePredicates:
         enc = EncodingSpec(weights=weights)
         assert is_maximally_nondegenerate(enc) is nondegenerate
         assert is_dense(enc) is dense
+
+    @pytest.mark.parametrize("weights,dense", [((1, 3, 9), True), ((1, 4), False), ((2, 3), False)])
+    def test_dense_property(self, weights, dense):
+        assert spectrum(EncodingSpec(weights=weights)).is_dense is dense
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5))
