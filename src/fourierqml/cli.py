@@ -40,7 +40,6 @@ from .rng import make_rng
 from .spectra import (
     EncodingSpec,
     exponential_weights,
-    is_maximally_nondegenerate,
     naive_weights,
     spectrum,
 )
@@ -221,7 +220,7 @@ def _cmd_spectrum(args) -> int:
         "d_f": spec.d_f,
         "feature_dimension": spec.feature_dimension,
         "dense": spec.is_dense,
-        "maximally_nondegenerate": is_maximally_nondegenerate(enc),
+        "maximally_nondegenerate": spec.is_nondegenerate,
         "support": [int(v) for v in spec.support],
         "multiplicity": [int(v) for v in spec.multiplicity],
     }

@@ -40,18 +40,29 @@ arXiv:2009.02823) over a trimmed copy of the program, fixed by the spec:
 * Trailing RZ and CNOT gates on qubits no later kept gate touches are
   folded into the observable: an RZ commutes with a diagonal observable
   and a CNOT permutes it, so ``Z_measured`` becomes a diagonal +-1 Z
-  string.
+  string.  An RY on such a qubit is dropped when that string does not
+  read the qubit: it commutes to the end and cancels.
 * The opening block runs once, at the base angles and at each of its
   trainable angles shifted by pi.  ``R_G(t + pi) = -iG R_G(t)``, so each
   shifted state is that angle's tangent.
 
-One forward pass over the data takes the opening state to the final
-states; one backward pass undoes the kept gates in reverse, carrying the
-states together with the observable applied to them and reading each
-later trainable angle's derivative on the way.  The co-state it carries
-back to the end of the opening block meets the opening tangents in one
-matrix product.  Dropped and folded trainable RZ gates have derivative
-exactly 0.  With finite shots every circuit of the parameter-shift rule
+A ``Parallel`` spec's data enter only through its diagonal encoding, so
+the model is a quadratic form in ``psi_t = D(x_t) a`` with ``a = W1|0>``
+(Schuld, Sweke & Meyer, arXiv:2008.08605).  Its kept closing block runs
+once on the ``2**n`` basis states, with one pi-shifted variant per
+trainable angle, and the values and every column are row-by-matrix
+products; no gate runs on the data rows.  One rule, ``_diagonal_fits``,
+picks this engine: its estimated work, the closing gates on the basis
+plus the per-row products, may not exceed the adjoint pass's gate work
+on the rows.  Every other exact Jacobian
+takes the adjoint pass, which is also the engine's test oracle.  One
+forward pass over the data takes the opening state to the final states;
+one backward pass undoes the kept gates in reverse, carrying the states
+together with the observable applied to them and reading each later
+trainable angle's derivative on the way.  The co-state it carries back
+to the end of the opening block meets the opening tangents in one matrix
+product.  Dropped and folded trainable gates have derivative exactly 0
+in both.  With finite shots every circuit of the parameter-shift rule
 is a separately sampled measurement, so the ``2 N_tp + 1`` shifted
 variants run as one batch on the full program; the same shift rule is
 the exact-gradient oracle (``gradient_parameter_shift``).
@@ -102,6 +113,11 @@ __all__ = [
 ANSATZ_FORMAT_VERSION = "ansatz-v1"
 
 _MAX_GRID = 10_000_000
+# One complex multiply-add inside a matrix product costs about 1/20 of an
+# amplitude update by a gate kernel.  Timed with one BLAS thread on a
+# 2-core Xeon, the ratio was 30-55 at 6-8 qubits; the low end keeps the
+# diagonal engine off every shape where it was timed slower.
+_PRODUCT_SPEEDUP = 20
 
 
 @dataclass(frozen=True)
@@ -317,17 +333,19 @@ def _qubits(op: tuple) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _trimmed(spec: AnsatzSpec) -> tuple[tuple, tuple, np.ndarray]:
-    """The program the adjoint pass runs: ``(opening, rows, observable)``.
+    """The program exact Jacobians run: ``(opening, rows, observable)``.
 
     A forward scan drops the RZ gates on qubits that no earlier gate has
     rotated; each multiplies |0...0> by a phase.  A backward scan folds
     the RZ and CNOT gates on qubits that no later kept gate touches into
     the diagonal observable: they commute past the kept gates, an RZ
     commutes with a diagonal observable and a CNOT permutes its entries.
-    The kept gates are split at the first encoding gate into the opening
-    block, which never reads the data, and the gates run per row.  The
-    observable is ``Z_measured`` conjugated by the folded gates, a
-    read-only vector of +-1 on the basis states.
+    It also drops an RY on such a qubit when the observable folded so far
+    does not read that qubit's bit: the gate then commutes to the end and
+    cancels against its inverse.  The kept gates are split at the first
+    encoding gate into the opening block, which never reads the data, and
+    the gates run per row.  The observable is ``Z_measured`` conjugated
+    by the folded gates, a read-only vector of +-1 on the basis states.
     """
     ops, _ = _program(spec)
     n = spec.total_qubits
@@ -343,10 +361,12 @@ def _trimmed(spec: AnsatzSpec) -> tuple[tuple, tuple, np.ndarray]:
     kept = []
     for k in reversed(forward):
         op = ops[k]
-        if op[0] not in ("ry", "enc_ry") and live.isdisjoint(_qubits(op)):
+        if live.isdisjoint(_qubits(op)):
             if op[0] == "cnot":
                 observable = apply_cnot(observable, n, op[1], op[2])
-            continue
+                continue
+            if op[0] in ("rz", "enc_rz") or not _reads_bit(observable, n, op[1]):
+                continue
         live.update(_qubits(op))
         kept.append(k)
     observable.flags.writeable = False
@@ -354,6 +374,12 @@ def _trimmed(spec: AnsatzSpec) -> tuple[tuple, tuple, np.ndarray]:
     return (tuple(ops[k] for k in reversed(kept) if k < n_open),
             tuple(ops[k] for k in reversed(kept) if k >= n_open),
             observable)
+
+
+def _reads_bit(observable: np.ndarray, n: int, qubit: int) -> bool:
+    """Whether a diagonal observable's entries depend on ``qubit``'s bit."""
+    halves = observable.reshape(1 << (qubit - 1), 2, 1 << (n - qubit))
+    return not np.array_equal(halves[:, 0], halves[:, 1])
 
 
 def param_count(spec: AnsatzSpec) -> int:
@@ -532,18 +558,22 @@ def values_and_jacobian(
     """Model values and their Jacobian in theta over a dataset.
 
     Returns ``(values, jac)`` with shapes ``(n,)`` and ``(n, N_tp)``.
-    Exact values come with the adjoint Jacobian over the trimmed program
-    (see the module docstring): the opening block runs once, with one
-    pi-shifted variant per trainable angle as that angle's tangent; one
-    forward and one backward pass over the data run only the gates from
-    the first encoding gate on, measured against the folded diagonal
-    observable.  The opening block's columns are one matrix product of
-    the co-state carried back to it with its tangents.  Dropped and
-    folded trainable RZ gates get columns of exactly 0.  With ``shots``
-    set, every value is a finite-shot estimate drawn from ``rng``, and
-    the Jacobian is the parameter-shift rule over the ``2 N_tp + 1``
-    sampled circuits of the full program (base, +pi/2 and -pi/2 shifts
-    of each angle), as hardware would measure it.
+    Exact values come from the trimmed program (see the module
+    docstring), whose opening block runs once, with one pi-shifted
+    variant per trainable angle as that angle's tangent.  A ``Parallel``
+    spec whose closing block fits the rule of ``_diagonal_fits`` runs no
+    gate on the data rows: its closing gates run once on the ``2**n``
+    basis states, the data enter as one diagonal phase per row, and the
+    values and every column are row-by-matrix products.  Any other spec
+    takes the adjoint pass: one forward and one backward pass over the
+    data run only the gates from the first encoding gate on, and the
+    opening block's columns are one matrix product of the co-state
+    carried back to it with its tangents.  Either way dropped and folded
+    trainable gates get columns of exactly 0.  With ``shots`` set, every
+    value is a finite-shot estimate drawn from ``rng``, and the Jacobian
+    is the parameter-shift rule over the ``2 N_tp + 1`` sampled circuits
+    of the full program (base, +pi/2 and -pi/2 shifts of each angle), as
+    hardware would measure it.
     """
     theta = _as_theta(spec, theta)
     xs = _as_inputs(spec, xs)
@@ -551,24 +581,51 @@ def values_and_jacobian(
         if rng is None:
             raise ValueError("sampled evaluation needs an rng")
         return _shift_rule(spec, theta, xs, shots, rng)
-    # Adjoint pass.  With phi the state after a trainable gate R_G(t) and
-    # lam = O phi_final carried back to the same point, O the observable,
+    if _diagonal_fits(spec, xs.shape[0]):
+        return _diagonal_jacobian(spec, theta, xs)
+    return _adjoint_jacobian(spec, theta, xs)
+
+
+def _shifted(theta: np.ndarray, cols: list[int] | tuple[int, ...]) -> np.ndarray:
+    """The base angles, then one variant per column with that angle shifted by pi.
+
+    ``R_G(t + pi) = -iG R_G(t) = 2 dR_G/dt``, so a block run at a shifted
+    variant is twice that angle's tangent of the block.
+    """
+    variants = np.tile(theta, (1 + len(cols), 1))
+    variants[1 + np.arange(len(cols)), cols] += np.pi
+    return variants
+
+
+def _opening_tangents(spec: AnsatzSpec, theta: np.ndarray, opening: tuple) -> tuple[list, np.ndarray]:
+    """The opening block's trainable columns and its states on |0...0>.
+
+    Row 0 of the states is the base state, row ``1 + i`` the tangent of
+    column ``i``.
+    """
+    n = spec.total_qubits
+    cols = [op[2] for op in opening if op[0] != "cnot"]
+    variants = _shifted(theta, cols)
+    return cols, _apply_ops(_zero_states(len(variants), n), n, opening, variants, None)[:, 0]
+
+
+def _adjoint_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> tuple:
+    """Values and Jacobian from one forward and one backward pass over the rows."""
+    # With phi the state after a trainable gate R_G(t) and lam = O
+    # phi_final carried back to the same point, O the observable,
     # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the gates
     # run per row in reverse, each gate's derivative is read, then the
     # gate is undone on the (phi, lam) pair; below the first such read
     # only lam is carried on, to the end of the opening block.
     opening, per_row, observable = _trimmed(spec)
-    n, n_tp = spec.total_qubits, param_count(spec)
+    n = spec.total_qubits
     thetas = theta[None, :]
-    cols = [op[2] for op in opening if op[0] != "cnot"]
-    variants = np.tile(theta, (1 + len(cols), 1))
-    variants[1 + np.arange(len(cols)), cols] += np.pi
-    opened = _apply_ops(_zero_states(len(variants), n), n, opening, variants, None)[:, 0]
+    cols, opened = _opening_tangents(spec, theta, opening)
     phi = _apply_ops(np.repeat(opened[None, :1], xs.shape[0], axis=1), n, per_row, thetas, xs)[0]
     values = (phi.real**2 + phi.imag**2) @ observable
     pair = np.stack([phi, observable * phi])
     generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
-    jac = np.zeros((xs.shape[0], n_tp))
+    jac = np.zeros((xs.shape[0], theta.size))
     first = next((k for k, op in enumerate(per_row) if op[0] in ("ry", "rz")), len(per_row))
     for k in range(len(per_row) - 1, first - 1, -1):
         op = per_row[k]
@@ -580,6 +637,88 @@ def values_and_jacobian(
     if cols:
         lam = _apply_ops(pair[1:], n, per_row[:first + 1][::-1], undo_thetas, undo_xs)[0]
         jac[:, cols] = (lam.conj() @ opened[1:].T).real
+    return values, jac
+
+
+@lru_cache(maxsize=None)
+def _diagonal_program(spec: AnsatzSpec) -> tuple[np.ndarray, tuple, tuple]:
+    """A ``Parallel`` spec's per-row gates as ``(rates, closing, closing_cols)``.
+
+    The kept encoding gates are all ``RZ`` and come first; together they
+    are the diagonal ``D(x) = exp(i x @ rates)``, where ``rates[m, j]``
+    sums ``weight * (bit_q(j) - 1/2)`` over the gates that encode
+    variable ``m`` on qubit ``q``.  The rest of the per-row gates is the
+    kept closing block, which reads no data, and its trainable columns.
+    """
+    _, per_row, _ = _trimmed(spec)
+    encoding = tuple(takewhile(_is_encoding, per_row))
+    closing = per_row[len(encoding):]
+    n = spec.total_qubits
+    indices = np.arange(1 << n)
+    rates = np.zeros((spec.n_variables, 1 << n))
+    for _, qubit, var, weight in encoding:
+        rates[var] += weight * (((indices >> (n - qubit)) & 1) - 0.5)
+    rates.flags.writeable = False
+    return rates, closing, tuple(op[2] for op in closing if op[0] != "cnot")
+
+
+def _diagonal_fits(spec: AnsatzSpec, rows: int) -> bool:
+    """The one rule that sends an exact Jacobian to ``_diagonal_jacobian``.
+
+    The spec must be ``Parallel``, whose data enter only through the
+    diagonal encoding, and the engine's work must not exceed the adjoint
+    pass's.  Counted in amplitude updates by a gate kernel, with
+    ``d = 2**n``, C kept closing gates, P of them trainable, and G gates
+    run per row: the engine runs the closing gates once on ``(1 + P) d``
+    basis rows, ``(1 + P) C d**2`` updates, then takes ``2 + P``
+    products of (rows x d) by (d x d), whose ``rows (2 + P) d**2``
+    multiply-adds cost ``1 / _PRODUCT_SPEEDUP`` update each; the adjoint
+    pass runs every per-row gate about three times on each row (forward,
+    undone on the pair or the co-state, and read), ``3 G rows d``
+    updates.  The engine's per-row cost grows as ``d**2`` against the
+    adjoint's ``G d``, so past a few qubits it never fits (from 7 qubits
+    at one layer), and its basis batch of ``(1 + P) d`` rows stays within
+    ``3 G / 2 C`` times the adjoint's (phi, lam) pair of ``2 rows`` rows.
+    """
+    if not isinstance(spec.topology, Parallel):
+        return False
+    _, closing, closing_cols = _diagonal_program(spec)
+    gates = len(_trimmed(spec)[1])
+    variants, d = 1 + len(closing_cols), 1 << spec.total_qubits
+    engine = _PRODUCT_SPEEDUP * variants * len(closing) * d + rows * (1 + variants) * d
+    return engine <= _PRODUCT_SPEEDUP * 3 * gates * rows
+
+
+def _diagonal_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> tuple:
+    """Values and Jacobian of a ``Parallel`` spec without gates on the data rows.
+
+    With a = W1|0>, psi_t = D(x_t) a, B the kept closing block and O the
+    folded observable, ``f_t = Re <O B psi_t, B psi_t>``.  The closing
+    column of angle p is ``Re <O B psi_t, B'_p psi_t>`` and the opening
+    column ``Re <B^dag O B psi_t, D(x_t) T_p>``, with B'_p and T_p the
+    pi-shifted variants of B and a.  States are rows here, so a block
+    acts as ``psi @ B^T``, and row j of the basis batch after the
+    closing gates is ``B|j>``, a row of B^T.  Its peak memory is that
+    batch, ``(1 + P) d**2`` amplitudes, plus at most six (rows x d)
+    arrays at once.
+    """
+    opening, _, observable = _trimmed(spec)
+    rates, closing, closing_cols = _diagonal_program(spec)
+    n, d = spec.total_qubits, 1 << spec.total_qubits
+    cols, opened = _opening_tangents(spec, theta, opening)
+    variants = _shifted(theta, closing_cols)
+    turned = _apply_ops(np.tile(np.eye(d, dtype=np.complex128), (len(variants), 1, 1)),
+                        n, closing, variants, None)
+    phases = np.exp(1j * (xs @ rates))
+    psi = phases * opened[0]
+    phi = psi @ turned[0]
+    values = (phi.real**2 + phi.imag**2) @ observable
+    lam = observable * phi.conj()
+    jac = np.zeros((xs.shape[0], theta.size))
+    for p, col in enumerate(closing_cols, start=1):
+        jac[:, col] = np.einsum("tj,tj->t", lam, psi @ turned[p]).real
+    if cols:
+        jac[:, cols] = ((lam @ turned[0].T) * phases @ opened[1:].T).real
     return values, jac
 
 

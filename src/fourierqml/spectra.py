@@ -45,7 +45,7 @@ __all__ = [
 # exact integer bookkeeping is kept within 63 bits
 _SUM_CAP = 1 << 62
 _LATTICE_CAP = 1_000_000
-# 3^13 dictionary entries bound spectra and the exact nondegeneracy check
+# 3^13 dictionary entries bound a spectrum
 _MAX_EXACT_ROTATIONS = 13
 
 
@@ -114,6 +114,11 @@ class FrequencySpectrum:
         """True iff the support covers every integer in ``[-d_F, d_F]``."""
         return self.distinct_count == self.feature_dimension
 
+    @property
+    def is_nondegenerate(self) -> bool:
+        """True iff every sign combination lands on its own frequency."""
+        return bool((self.multiplicity == 1).all())
+
 
 def _recurrence(weights: tuple[int, ...]) -> Iterator[Counter[int]]:
     """Frequency multiplicities after each weight of the three-shift recurrence."""
@@ -153,29 +158,15 @@ def is_maximally_nondegenerate(enc: EncodingSpec) -> bool:
     new weight out-ranges the whole span reachable with the previous
     ones) guarantees distinctness and is checked first.  It is only
     sufficient, not necessary -- (2, 3) violates it yet has all nine sums
-    distinct -- so when it fails the spectrum is enumerated exactly with
-    an early exit at the first collision.  Weight tuples longer than 13
-    that also fail the inequality would need more than 3^13 dictionary
-    entries to decide and raise ``CapacityError``.
+    distinct -- so when it fails the spectrum decides, and raises
+    ``CapacityError`` where ``spectrum`` does.
     """
     ordered = sorted(enc.weights)
     partial = ordered[0]
-    sufficient = True
     for beta in ordered[1:]:
         if 2 * partial >= beta:
-            sufficient = False
-            break
+            return spectrum(enc).is_nondegenerate
         partial += beta
-    if sufficient:
-        return True
-    if len(enc.weights) > _MAX_EXACT_ROTATIONS:
-        raise CapacityError(
-            f"cannot decide nondegeneracy exactly for {len(enc.weights)} rotations"
-        )
-    for counts in _recurrence(enc.weights):
-        # a collision never un-happens in later steps, so exit early
-        if max(counts.values()) > 1:
-            return False
     return True
 
 

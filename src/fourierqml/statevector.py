@@ -30,11 +30,9 @@ __all__ = [
     "apply_rz",
     "apply_ry",
     "apply_cnot",
-    "apply_dense",
     "expectation_z",
     "sample_expectation_z",
     "haar_unitary",
-    "state_norm",
 ]
 
 
@@ -104,27 +102,6 @@ def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np
     return amps
 
 
-def apply_dense(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Apply an explicit unitary on an ordered tuple of target qubits.
-
-    ``targets[0]`` is the most significant bit of the block index used to
-    interpret ``matrix``.  This is the slow general path that the
-    specialised kernels are checked against.
-    """
-    lead = amps.shape[:-1]
-    nb = len(lead)
-    k = len(targets)
-    tensor = amps.reshape(*lead, *([2] * n_qubits))
-    src = [nb + t - 1 for t in targets]
-    dest = list(range(nb + n_qubits - k, nb + n_qubits))
-    tensor = np.moveaxis(tensor, src, dest)
-    moved_shape = tensor.shape
-    flat = tensor.reshape(*moved_shape[:-k], 1 << k)
-    flat = flat @ np.asarray(matrix, dtype=np.complex128).T
-    tensor = np.moveaxis(flat.reshape(moved_shape), dest, src)
-    return np.ascontiguousarray(tensor).reshape(*lead, 1 << n_qubits)
-
-
 def expectation_z(amps: np.ndarray, n_qubits: int, qubit: int):
     """``<Z>`` on ``qubit``; batched over any leading axes of ``amps``."""
     _check_qubit(n_qubits, qubit)
@@ -145,10 +122,6 @@ def sample_expectation_z(amps: np.ndarray, n_qubits: int, qubit: int, shots: int
     counts = rng.binomial(shots, p_up)
     est = 2.0 * counts / shots - 1.0
     return est if np.ndim(z) else float(est)
-
-
-def state_norm(amps: np.ndarray):
-    return np.sqrt((amps.real**2 + amps.imag**2).sum(axis=-1))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, size: int | None = None,

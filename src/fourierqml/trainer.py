@@ -7,11 +7,15 @@ divergence abort and the result record.  A thin adapter per family
 validates its inputs, keeps its resource counters and hands the loop
 three callables: values and Jacobian on a batch, exact values on the
 training or test data, and coefficient recovery.  The quantum Jacobian
-is one ``values_and_jacobian`` call per step: with exact expectations an
-adjoint pass that runs the opening trainable block once and, per data
-point, only the gates from the first encoding on (trailing RZ and CNOT
-gates folded into the observable); with ``shots`` the parameter-shift
-rule over sampled circuits.  Either way the quantum resource counters
+is one ``values_and_jacobian`` call per step.  With exact expectations a
+``Parallel`` model on enough data points runs no gate per point: its
+trainable blocks run once (the closing one on the basis states) and the
+data enter as one diagonal phase per point, under one rule that compares
+the estimated work of that engine with the adjoint's.  Other models take
+an adjoint pass that runs the opening trainable block once and, per data
+point, only the gates from the first encoding on (trailing gates folded
+into the observable).  With ``shots`` it is the parameter-shift rule over
+sampled circuits.  Either way the quantum resource counters
 price the parameter-shift protocol, ``2 N_tp + 1`` circuits of the full
 program per batch point, which is what hardware would run.  The
 classical Jacobian is the batch's rows of the precomputed (projected)
@@ -470,8 +474,7 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
 
     def batch(params, idx):
         values, jac = values_and_jacobian(spec, params, data.inputs[idx], shots=cfg.shots, rng=rng)
-        # the parameter-shift hardware cost, also when the exact Jacobian
-        # was simulated by the adjoint pass
+        # the parameter-shift hardware cost, also when the Jacobian was simulated
         evaluations = (2 * n_tp + 1) * idx.size
         counters["circuit_evaluations"] += evaluations
         counters["gate_operations"] += n_gt * evaluations

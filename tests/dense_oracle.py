@@ -2,7 +2,8 @@
 
 The package evaluates circuits gate by gate and samples the plateau lab's
 Haar blocks as isometries.  These helpers build the same objects as
-explicit matrices instead: the unitary of the first trainable block, the
+explicit matrices instead: an explicit unitary applied on chosen qubits
+(the gate kernels' oracle), the unitary of the first trainable block, the
 diagonal of the encoding run after it, and the plateau lab's full
 propagation through dense d x d blocks.  They are slow and exist only to
 check the fast paths.
@@ -63,6 +64,32 @@ def encoding_diagonal(spec, x):
         bit = (indices >> (n - qubit)) & 1
         phases += weight * x[var] * 0.5 * (2 * bit - 1)
     return np.exp(1j * phases)
+
+
+def apply_dense(amps: np.ndarray, n_qubits: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply an explicit unitary on an ordered tuple of target qubits.
+
+    ``targets[0]`` is the most significant bit of the block index used to
+    interpret ``matrix``.  This is the slow general path that the
+    specialised kernels are checked against.
+    """
+    lead = amps.shape[:-1]
+    nb = len(lead)
+    k = len(targets)
+    tensor = amps.reshape(*lead, *([2] * n_qubits))
+    src = [nb + t - 1 for t in targets]
+    dest = list(range(nb + n_qubits - k, nb + n_qubits))
+    tensor = np.moveaxis(tensor, src, dest)
+    moved_shape = tensor.shape
+    flat = tensor.reshape(*moved_shape[:-k], 1 << k)
+    flat = flat @ np.asarray(matrix, dtype=np.complex128).T
+    tensor = np.moveaxis(flat.reshape(moved_shape), dest, src)
+    return np.ascontiguousarray(tensor).reshape(*lead, 1 << n_qubits)
+
+
+def state_norm(amps: np.ndarray):
+    """Euclidean norm of each amplitude row."""
+    return np.sqrt((amps.real**2 + amps.imag**2).sum(axis=-1))
 
 
 def dense_plateau_samples(n_variables, n_qubits, trials, rng, mode="haar", grad_case="II",

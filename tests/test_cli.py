@@ -102,6 +102,17 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert "capacity exceeded" in err and "63-bit" in err
 
+    def test_nondegeneracy_read_from_spectrum(self, capsys):
+        # 14 equal weights fail the prefix inequality; the 29-frequency
+        # spectrum the command already holds decides it
+        assert main(["spectrum", "--weights", ",".join(["1"] * 14)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["distinct_count"] == 29 and doc["maximally_nondegenerate"] is False
+        # (2, 3) fails the inequality yet has all nine sums distinct
+        for argv in (["--exp", "4"], ["--weights", "2,3"]):
+            assert main(["spectrum", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["maximally_nondegenerate"] is True
+
     def test_output_bytes(self, capsys):
         assert main(["spectrum", "--weights", "1,2"]) == 0
         assert capsys.readouterr().out == SPECTRUM_1_2

@@ -27,7 +27,7 @@ from fourierqml.qfflm import (
     values_and_jacobian,
 )
 from fourierqml.rng import make_rng
-from fourierqml.spectra import EncodingSpec, exponential_weights
+from fourierqml.spectra import EncodingSpec, exponential_weights, naive_weights
 from fourierqml.statevector import expectation_z, sample_expectation_z
 
 from dense_oracle import block_unitaries, encoding_diagonal
@@ -433,6 +433,30 @@ class TestTrimmedProgram:
             [3 * q + 2 for q in range(4)] + [12 + 3 * q for q in range(4)]
         )
 
+    def test_out_of_cone_rys_fold(self):
+        """Measured on qubit 1, Z_1 commutes with the CNOT line, so no kept
+        gate after them touches qubits 2-4 and the observable never reads
+        their bits: their RYs (and the RZs they leave unrotated) commute
+        to the end and cancel, and only qubits 1 and 2 of W1 stay."""
+        spec = self.parallel(measured_qubit=1)
+        opening, per_row, observable = qfflm._trimmed(spec)
+        assert opening == (("ry", 1, 0), ("rz", 1, 1), ("ry", 2, 2), ("rz", 2, 3), ("cnot", 1, 2))
+        assert per_row == (("enc_rz", 1, 0, 1), ("ry", 1, 8))
+        np.testing.assert_array_equal(observable, np.repeat([1.0, -1.0], 8))
+        assert dropped_params(spec) == [4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]
+
+    def test_out_of_cone_columns_are_exactly_zero(self):
+        spec = self.parallel(measured_qubit=1)
+        theta = init_parameters(spec, make_rng(76))
+        xs = make_rng(77).uniform(-np.pi, np.pi, (200, 1))
+        for jacobian in (qfflm._adjoint_jacobian, qfflm._diagonal_jacobian):
+            values, jac = jacobian(spec, theta, xs)
+            zero = np.flatnonzero(np.all(jac == 0.0, axis=0))
+            np.testing.assert_array_equal(zero, dropped_params(spec))
+            shift_values, shift_jac = qfflm._shift_rule(spec, theta, xs, None, None)
+            np.testing.assert_allclose(values, shift_values, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(jac, shift_jac, rtol=0, atol=1e-12)
+
     def test_no_layers_leaves_nothing(self):
         spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=0, topology=Parallel(),
                           encoding=exponential_weights(3))
@@ -453,6 +477,128 @@ class TestTrimmedProgram:
         xs = make_rng(75).uniform(-np.pi, np.pi, (9, spec.n_variables))
         np.testing.assert_array_equal(qfflm._run_batch(spec, thetas, xs),
                                       gate_path_amplitudes(spec, thetas, xs))
+
+
+# ---------------------------------------------------------------------------
+# diagonal engine for Parallel specs against the adjoint pass
+# ---------------------------------------------------------------------------
+
+def diagonal_threshold(spec, most=4096):
+    """Fewest rows, up to ``most``, for which the rule picks the diagonal
+    engine, or None."""
+    return next((rows for rows in range(1, most + 1) if qfflm._diagonal_fits(spec, rows)), None)
+
+
+@st.composite
+def parallel_cases(draw):
+    """A Parallel spec of at most 4 qubits, parameters, and the rows on one
+    side of the diagonal engine's rule or the other."""
+    n_variables = draw(st.integers(min_value=1, max_value=2))
+    n_qubits = draw(st.integers(min_value=1, max_value=4 // n_variables))
+    weights = draw(st.sampled_from([exponential_weights, naive_weights]))(n_qubits)
+    spec = AnsatzSpec(
+        n_variables=n_variables, n_qubits=n_qubits,
+        n_layers=draw(st.integers(min_value=0, max_value=3)), topology=Parallel(),
+        encoding=weights, rotation_params=draw(st.sampled_from([2, 3])),
+        measured_qubit=draw(st.integers(min_value=1, max_value=n_variables * n_qubits)),
+    )
+    threshold = diagonal_threshold(spec)
+    if threshold is None:
+        rows = draw(st.integers(min_value=1, max_value=64))
+    else:
+        rows = max(1, threshold - draw(st.sampled_from([0, 1])))
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return spec, init_parameters(spec, rng), rng.uniform(-np.pi, np.pi, (rows, n_variables))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_cases())
+def test_diagonal_engine_matches_adjoint_and_shift_rule(case):
+    """The diagonal engine, the adjoint pass and the shift rule on the full
+    program agree on values and every column, and the engine and the
+    adjoint leave exactly the same columns at exactly 0: the trimmed
+    program's dropped angles.  values_and_jacobian takes the engine when
+    the rule holds and the adjoint pass otherwise."""
+    spec, theta, xs = case
+    values, jac = qfflm._diagonal_jacobian(spec, theta, xs)
+    chosen = values_and_jacobian(spec, theta, xs)
+    zeros = np.flatnonzero(np.all(jac == 0.0, axis=0))
+    np.testing.assert_array_equal(zeros, dropped_params(spec))
+    for other_values, other_jac in (qfflm._adjoint_jacobian(spec, theta, xs),
+                                    qfflm._shift_rule(spec, theta, xs, None, None)):
+        np.testing.assert_allclose(values, other_values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(jac, other_jac, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.flatnonzero(np.all(chosen[1] == 0.0, axis=0)), zeros)
+    np.testing.assert_allclose(chosen[0], values, rtol=0, atol=1e-14)
+
+
+class TestDiagonalEngine:
+    """Where the engine runs, and that it runs no gate on the data rows."""
+
+    FIT_Q4 = AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
+                        encoding=exponential_weights(4))
+
+    @staticmethod
+    def kernel_shapes(monkeypatch, spec, rows):
+        """Shapes of the arrays every kernel call of values_and_jacobian gets."""
+        theta = init_parameters(spec, make_rng(78))
+        xs = make_rng(79).uniform(-np.pi, np.pi, (rows, spec.n_variables))
+        oracle_values, oracle_jac = qfflm._adjoint_jacobian(spec, theta, xs)
+        shapes = []
+        for name in ("apply_ry", "apply_rz", "apply_cnot"):
+            def recorded(amps, *args, _kernel=getattr(qfflm, name)):
+                shapes.append(amps.shape)
+                return _kernel(amps, *args)
+            monkeypatch.setattr(qfflm, name, recorded)
+        values, jac = values_and_jacobian(spec, theta, xs)
+        np.testing.assert_allclose(values, oracle_values, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(jac, oracle_jac, rtol=0, atol=1e-12)
+        return shapes
+
+    def test_no_kernel_sees_the_data_rows(self, monkeypatch):
+        shapes = self.kernel_shapes(monkeypatch, self.FIT_Q4, 200)
+        assert shapes and all(200 not in shape for shape in shapes)
+        # the opening block with its 8 tangents, W2's four RYs on the basis
+        assert set(shapes) == {(9, 1, 16), (5, 16, 16)}
+
+    @pytest.mark.parametrize("spec,threshold", [
+        (FIT_Q4, 17),
+        (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(6)), 259),
+        (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=3, topology=Parallel(),
+                    encoding=exponential_weights(4)), 121),
+    ], ids=["fit-q4", "parallel-6q", "parallel-4q-3-layers"])
+    def test_rule_threshold(self, spec, threshold):
+        """values_and_jacobian is the engine from the threshold on and the
+        adjoint pass below it, bit for bit.  4 qubits at one layer: the
+        engine's 5 * 4 * 16**2 basis updates plus 6 * 16**2 / 20 per row
+        against the adjoint's 3 * 8 * 16 per row."""
+        assert diagonal_threshold(spec) == threshold
+        theta = init_parameters(spec, make_rng(80))
+        for rows, jacobian in ((threshold, qfflm._diagonal_jacobian),
+                               (threshold - 1, qfflm._adjoint_jacobian)):
+            xs = make_rng(81).uniform(-np.pi, np.pi, (rows, 1))
+            for chosen, expected in zip(values_and_jacobian(spec, theta, xs),
+                                        jacobian(spec, theta, xs)):
+                np.testing.assert_array_equal(chosen, expected)
+
+    @pytest.mark.parametrize("spec,rows", [
+        (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(6)), 224),
+        (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(7)), 10**7),
+        (AnsatzSpec(n_variables=1, n_qubits=8, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(8)), 10**7),
+        (JACOBIAN_SPECS["ring"], 10**7),
+        (AnsatzSpec(n_variables=6, n_qubits=2, n_layers=1,
+                    topology=Serial(reuploads=2, encoders_per_block=1),
+                    encoding=EncodingSpec(weights=(1, 3))), 10**7),
+    ], ids=["parallel-6q", "parallel-7q", "parallel-8q", "ring", "serial"])
+    def test_rule_keeps_the_adjoint(self, spec, rows):
+        # at 7 and 8 qubits the engine's 4**n products per row cost more
+        # than the adjoint's gates at any row count; Ring and Serial
+        # encodings are never run as one diagonal
+        assert not qfflm._diagonal_fits(spec, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ class TestStructurePredicates:
     def test_dense_property(self, weights, dense):
         assert spectrum(EncodingSpec(weights=weights)).is_dense is dense
 
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_nondegeneracy_beyond_13_weights(self, n):
+        """Fourteen or more equal weights fail the prefix inequality; their
+        2n + 1 frequencies decide nondegeneracy without a capacity error."""
+        enc = naive_weights(n)
+        assert is_maximally_nondegenerate(enc) is False
+        assert spectrum(enc).is_nondegenerate is False
+        assert spectrum(exponential_weights(5)).is_nondegenerate is True
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5))
     def test_nondegeneracy_iff_all_sums_distinct(self, weights):

@@ -13,18 +13,18 @@ from hypothesis import strategies as st
 
 from fourierqml.statevector import (
     apply_cnot,
-    apply_dense,
     apply_ry,
     apply_rz,
     expectation_z,
     haar_unitary,
     sample_expectation_z,
-    state_norm,
 )
 
 from fourierqml.qfflm import AnsatzSpec, Parallel, apply_opening
 from fourierqml.rng import make_rng
 from fourierqml.spectra import exponential_weights
+
+from dense_oracle import apply_dense, state_norm
 
 
 # ---------------------------------------------------------------------------
