@@ -179,14 +179,39 @@ def make_step_dataset(n_points: int) -> Dataset:
 _NORM_GRID = 4096
 
 
+def _grid_values(c: np.ndarray) -> np.ndarray:
+    """A univariate feature expansion ``c`` at ``x_g = -pi + 2 pi g / G``, G = _NORM_GRID.
+
+    Frequency j's features read ``sqrt(2) Re[(a_j - i b_j) e^{i j x}]``,
+    and ``e^{i j x_g} = (-1)^j e^{2 pi i j g / G}``, so the grid values
+    are one inverse real FFT.  A frequency at or above ``G / 2`` aliases
+    onto bin ``j mod G``, and a bin above ``G / 2`` onto ``G`` minus it,
+    conjugated.  Bins 0 and ``G / 2`` have no partner, so they take only
+    the real part, at twice the weight of a paired bin.
+    """
+    half = _NORM_GRID // 2
+    j = np.arange(1, (c.size - 1) // 2 + 1)
+    z = np.sqrt(2.0) * np.where(j % 2 == 1, -1.0, 1.0) * (c[1::2] - 1j * c[2::2])
+    k = j % _NORM_GRID
+    upper = k > half
+    z[upper] = z[upper].conj()
+    k[upper] = _NORM_GRID - k[upper]
+    unpaired = (k == 0) | (k == half)
+    bins = np.zeros(half + 1, dtype=np.complex128)
+    bins[0] = c[0]
+    np.add.at(bins, k, np.where(unpaired, z.real, z / 2.0))
+    return np.fft.irfft(bins * _NORM_GRID, _NORM_GRID)
+
+
 def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> FourierTarget:
     """Random bounded Fourier target with an exact low/high energy ratio.
 
     Draws ``kappa`` standard-Gaussian coefficients, rescales the low
     block (indices below ``split``) so that
     ``sqrt(low energy) / sqrt(high energy) = r`` exactly, then rescales
-    globally so the maximum of |f| over a dense grid is 0.95 (keeping
-    the target strictly inside the representable band |f| <= 1).
+    globally so the maximum of |f| over a dense grid of ``_NORM_GRID``
+    points is 0.95 (keeping the target strictly inside the representable
+    band |f| <= 1).
     """
     if kappa < 3 or kappa % 2 == 0:
         raise ValueError(f"kappa must be odd and >= 3, got {kappa}")
@@ -194,15 +219,13 @@ def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> F
         raise ValueError(f"split must be in 1..{kappa - 1}, got {split}")
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
+    FeatureMap(n_variables=1, degrees=((kappa - 1) // 2,))  # the feature-dimension cap
     rng = make_rng(seed)
     c = rng.standard_normal(kappa)
     energy_low = float(np.sum(c[:split] ** 2))
     energy_high = float(np.sum(c[split:] ** 2))
     c[:split] *= r * np.sqrt(energy_high / energy_low)
-    fm = FeatureMap(n_variables=1, degrees=((kappa - 1) // 2,))
-    grid = -np.pi + 2.0 * np.pi * np.arange(_NORM_GRID) / _NORM_GRID
-    values = feature_matrix(grid[:, None], fm) @ c
-    c *= 0.95 / float(np.abs(values).max())
+    c *= 0.95 / float(np.abs(_grid_values(c)).max())
     return FourierTarget(coefficients=c, split_index=split, requested_ratio=r, seed=seed)
 
 

@@ -601,6 +601,43 @@ class TestDiagonalEngine:
         assert not qfflm._diagonal_fits(spec, rows)
 
 
+class TestPhaseCache:
+    """The engine's per-row diagonals are computed once per dataset, never stale."""
+
+    SPEC = TestDiagonalEngine.FIT_Q4
+    THETA = init_parameters(SPEC, make_rng(82))
+
+    def inputs(self, seed):
+        return make_rng(seed).uniform(-np.pi, np.pi, (200, 1))
+
+    def test_warm_call_is_bit_identical(self):
+        xs = self.inputs(83)
+        qfflm._phases.cache_clear()
+        cold = qfflm._diagonal_jacobian(self.SPEC, self.THETA, xs)
+        warm = qfflm._diagonal_jacobian(self.SPEC, self.THETA, xs.copy())
+        assert qfflm._phases.cache_info().hits == 1
+        for a, b in zip(cold, warm):
+            np.testing.assert_array_equal(a, b)
+
+    def test_new_inputs_miss_the_cache(self):
+        xs = self.inputs(84)
+        qfflm._diagonal_jacobian(self.SPEC, self.THETA, xs)
+        other = self.inputs(85)  # same shape, other values
+        xs[::3] += 0.25  # the first array, changed in place
+        for inputs in (other, xs):
+            values, jac = qfflm._diagonal_jacobian(self.SPEC, self.THETA, inputs)
+            oracle_values, oracle_jac = qfflm._adjoint_jacobian(self.SPEC, self.THETA, inputs)
+            np.testing.assert_allclose(values, oracle_values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jac, oracle_jac, rtol=0, atol=1e-12)
+
+    def test_cached_phases_are_read_only(self):
+        xs = self.inputs(86)
+        phases = qfflm._phases(self.SPEC, xs.shape, xs.tobytes())
+        assert not phases.flags.writeable
+        with pytest.raises(ValueError):
+            phases[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from fourierqml import qfflm, trainer
 from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
     feature_matrix,
     leading_feature_projection,
 )
-from fourierqml.errors import DatasetParseError, TrainingError
+from fourierqml.errors import CapacityError, DatasetParseError, TrainingError
 from fourierqml.qfflm import (
     AnsatzSpec,
     Parallel,
@@ -119,6 +120,29 @@ class TestRandomFourierTarget:
         assert data.metadata["seed"] == 7
         assert data.metadata["n_points"] == 50
         assert np.abs(data.outputs).max() <= 1.0 + 1e-9
+
+
+class TestNormalizationGrid:
+    """The inverse FFT that normalizes a random target, against its direct evaluation."""
+
+    @pytest.mark.parametrize("kappa", [3, 9, 81, 4095, 4097, 4099])
+    def test_fft_matches_direct_evaluation(self, kappa):
+        """From kappa 4097 on, frequencies of 2048 and up alias onto the
+        4096-point grid.  The direct evaluation rounds each phase j x_g
+        to about j ulp(pi), up to 9e-13 at j = 2049, so the tolerance is
+        relative to the largest |f| the coefficients allow, sqrt(2) sum |c|."""
+        target = make_random_fourier_target(kappa, (kappa + 1) // 2, 0.5, seed=kappa)
+        size = trainer._NORM_GRID
+        grid = -np.pi + 2.0 * np.pi * np.arange(size) / size
+        direct = np.concatenate([target.evaluate(grid[i:i + 512]) for i in range(0, size, 512)])
+        fast = trainer._grid_values(target.coefficients)
+        bound = np.sqrt(2.0) * np.abs(target.coefficients).sum()
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-13 * bound)
+        assert np.abs(fast).max() == pytest.approx(0.95, rel=1e-14)
+
+    def test_feature_dimension_cap(self):
+        with pytest.raises(CapacityError):
+            make_random_fourier_target(10**7 + 1, 64, 0.05, seed=0)
 
 
 class TestMseLoss:
@@ -382,6 +406,21 @@ class TestQuantumTraining(SharedLoopChecks):
     def test_unknown_model_type(self):
         with pytest.raises(TypeError):
             train(object(), make_step_dataset(4), TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("batch_size", [None, 50])
+    def test_diagonal_engine_fit_matches_adjoint_fit(self, monkeypatch, batch_size):
+        """A fit at the fit-q4 shape on the diagonal engine (its phases
+        cached across full-batch steps) traces the same losses as the same
+        fit on the adjoint pass."""
+        spec = AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
+                          encoding=exponential_weights(4))
+        data = make_grid_dataset(make_random_fourier_target(81, 64, 0.05, seed=21), 200)
+        cfg = TrainConfig(learning_rate=0.03, steps=30, batch_size=batch_size, seed=22)
+        assert qfflm._diagonal_fits(spec, 50)
+        engine = train(spec, data, cfg)
+        monkeypatch.setattr(qfflm, "_diagonal_fits", lambda spec, rows: False)
+        adjoint = train(spec, data, cfg)
+        np.testing.assert_allclose(engine.loss_trace, adjoint.loss_trace, rtol=1e-12, atol=0)
 
 
 class TestResultRecord:
