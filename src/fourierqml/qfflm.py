@@ -120,6 +120,9 @@ _MAX_GRID = 10_000_000
 # 2-core Xeon, the ratio was 30-55 at 6-8 qubits; the low end keeps the
 # diagonal engine off every shape where it was timed slower.
 _PRODUCT_SPEEDUP = 20
+# Rows per product in the diagonal engine: its (rows, 1 + P, d) states
+# are built one block at a time, so their size does not grow with the data.
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -697,7 +700,8 @@ def _phases(spec: AnsatzSpec, shape: tuple[int, int], data: bytes) -> np.ndarray
 
     Keyed by the inputs' bytes, so a full-batch fit computes them once and
     every later step with the same inputs reuses them; the cache holds
-    only the last dataset seen.
+    only the last dataset seen, (rows x d) amplitudes that stay alive
+    until inputs of another shape or value replace them.
     """
     xs = np.frombuffer(data, dtype=np.float64).reshape(shape)
     phases = np.exp(1j * (xs @ _diagonal_program(spec)[0]))
@@ -715,10 +719,12 @@ def _diagonal_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> t
     pi-shifted variants of B and a.  States are rows here, so a block
     acts as ``psi @ B^T``, and row j of the basis batch after the
     closing gates is ``B|j>``, a row of B^T; one product takes every
-    psi_t through B and all of its P variants at once.  Peak memory is
-    the basis batch, ``(1 + P) d**2`` amplitudes held twice (as run and
-    as the product's operand), plus the ``(rows, 1 + P, d)`` states of
-    that product and a few (rows x d) arrays.
+    psi_t through B and all of its P variants at once.  The rows go
+    through in blocks of ``_ROW_BLOCK``, so beyond the cached (rows x d)
+    diagonals and the Jacobian, peak memory is the basis batch,
+    ``(1 + P) d**2`` amplitudes held twice (as run and as the product's
+    operand), plus one block's ``(_ROW_BLOCK, 1 + P, d)`` states and a
+    few (_ROW_BLOCK x d) arrays.
     """
     opening, _, observable = _trimmed(spec)
     _, closing, closing_cols = _diagonal_program(spec)
@@ -727,16 +733,20 @@ def _diagonal_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> t
     variants = _shifted(theta, closing_cols)
     turned = _apply_ops(np.tile(np.eye(d, dtype=np.complex128), (len(variants), 1, 1)),
                         n, closing, variants, None)
+    operand = turned.transpose(1, 0, 2).reshape(d, -1)
     phases = _phases(spec, xs.shape, xs.tobytes())
-    psi = phases * opened[0]
-    states = (psi @ turned.transpose(1, 0, 2).reshape(d, -1)).reshape(xs.shape[0], -1, d)
-    phi = states[:, 0]
-    values = (phi.real**2 + phi.imag**2) @ observable
-    lam = observable * phi.conj()
+    values = np.empty(xs.shape[0])
     jac = np.zeros((xs.shape[0], theta.size))
-    jac[:, closing_cols] = np.einsum("tj,tpj->tp", lam, states[:, 1:]).real
-    if cols:
-        jac[:, cols] = ((lam @ turned[0].T) * phases @ opened[1:].T).real
+    for start in range(0, xs.shape[0], _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        states = (phases[block] * opened[0]) @ operand
+        states = states.reshape(states.shape[0], -1, d)
+        phi = states[:, 0]
+        values[block] = (phi.real**2 + phi.imag**2) @ observable
+        lam = observable * phi.conj()
+        jac[block, closing_cols] = (states[:, 1:] @ lam[:, :, None])[..., 0].real
+        if cols:
+            jac[block, cols] = ((lam @ turned[0].T) * phases[block] @ opened[1:].T).real
     return values, jac
 
 

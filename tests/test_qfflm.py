@@ -630,6 +630,17 @@ class TestPhaseCache:
             np.testing.assert_allclose(values, oracle_values, rtol=0, atol=1e-12)
             np.testing.assert_allclose(jac, oracle_jac, rtol=0, atol=1e-12)
 
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # 200 rows in blocks of 7: many blocks and a short last one
+        xs = self.inputs(87)
+        whole = qfflm._diagonal_jacobian(self.SPEC, self.THETA, xs)
+        monkeypatch.setattr(qfflm, "_ROW_BLOCK", 7)
+        blocked = qfflm._diagonal_jacobian(self.SPEC, self.THETA, xs)
+        oracle = qfflm._adjoint_jacobian(self.SPEC, self.THETA, xs)
+        for a, b, c in zip(whole, blocked, oracle):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(b, c, rtol=0, atol=1e-12)
+
     def test_cached_phases_are_read_only(self):
         xs = self.inputs(86)
         phases = qfflm._phases(self.SPEC, xs.shape, xs.tobytes())

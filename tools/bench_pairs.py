@@ -1,9 +1,11 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --label phase-cache --parent HEAD \\
-        --pairs fit-q4=10 --pairs fit-classical=5 --seed 37
+        --pairs fit-q4=10 --pairs fit-classical=10 --seed 37
 
-Run from the root of a git checkout.  The parent commit's files are
+Run from the root of a git checkout.  Every run lasts BENCHMARK.json's
+``run_seconds``, and a workload takes at least 10 pairs, the fewest
+that can show a gain in nine of ten.  The parent commit's files are
 exported with ``git archive`` into a temporary directory, so no worktree
 is registered and the parent run sees only committed files.  For every
 pair, ``perfbench/run.py`` runs once on each side, each in its own
@@ -26,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
+_MIN_PAIRS = 10
+
 
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -34,13 +38,12 @@ def _parse(argv):
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
                         help="run N pairs of WORKLOAD; repeat for more workloads")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     plan = {}
     for item in args.pairs:
         name, _, count = item.partition("=")
-        if not count.isdigit() or int(count) < 1:
-            parser.error(f"--pairs takes WORKLOAD=N with N >= 1, got {item!r}")
+        if not count.isdigit() or int(count) < _MIN_PAIRS:
+            parser.error(f"--pairs takes WORKLOAD=N with N >= {_MIN_PAIRS}, got {item!r}")
         plan[name] = int(count)
     args.plan = plan
     return args
@@ -58,11 +61,16 @@ def _export(root: Path, revision: str, target: Path) -> str:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``perfbench/run.py`` process; its result and its machine record."""
+    """One ``perfbench/run.py`` process; its result and its machine record.
+
+    Started and read as ``perfbench/report.py``'s ``run_workload`` does
+    (the result is stdout's last line, the machine record in the line
+    before it), but from ``checkout``, whose own run.py and source it runs.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False,
+        cwd=checkout, capture_output=True, text=True, timeout=600, check=False,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -99,6 +107,7 @@ def main(argv=None) -> int:
     root = Path.cwd()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     workloads = {}
     machine = None
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -110,7 +119,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     result, record = _run(parent_dir if side == "parent" else root,
-                                          workload, args.seed, args.seconds)
+                                          workload, args.seed, seconds)
                     runs[side].append(result)
                     machine = machine or record
                     print(f"{workload} pair {i + 1}/{pairs} {side}: "
@@ -123,7 +132,7 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "machine": _machine_text(machine),
         "pairs": ", ".join(f"{n} on {w}" for w, n in args.plan.items())
                  + f", alternating which side ran first; parent = commit {sha[:7]},"
