@@ -6,16 +6,18 @@ JSON document with a top-level ``{version, seed, output_dir}``, validated
 strictly against a schema (unknown fields, ``NaN``, ``Infinity`` and
 floats such as ``2.0`` in integer fields are rejected), then passed by
 name to the library call it configures, whose signature holds the
-defaults.  The output directory, with the config archived next to the
-results, is created once a run has finished or diverged.
+defaults.  Each experiment returns its primary outputs, and ``main``
+writes them: the output directory, with the config archived next to the
+results and one line appended to the ``run.log`` sidecar, is created
+once a run has finished or diverged.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
 times go to the ``run.log`` sidecar only.
 
 Exit codes: 0 success, 2 usage or config error (a value the library
-rejects included), 3 divergence during training (partial trace still
-written), 4 capacity exceeded.
+rejects included), 3 divergence during training (a diverged ``train``
+still writes its partial trace), 4 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -167,38 +169,40 @@ def _library_fields(config: dict) -> dict:
     return {k: v for k, v in config.items() if k not in ("version", "seed", "output_dir")}
 
 
-def _prepare_output_dir(config: dict) -> Path:
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text with every float cell written to 17 significant digits."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buffer.getvalue()
+
+
+def _write_outputs(config: dict, files: dict[str, str], started: float, message: str) -> Path:
+    """Create the output directory, archive the config next to ``files``, and
+    append ``message`` with the time since ``started`` to the ``run.log`` sidecar."""
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    for name, text in {"config.json": _json(config), **files}.items():
+        (out / name).write_text(text, encoding="utf-8")
+    stamp = datetime.datetime.now().isoformat(timespec="seconds")
+    with open(out / "run.log", "a", encoding="utf-8") as handle:
+        handle.write(f"{stamp} {message} ({time.perf_counter() - started:.3f} s)\n")
     return out
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _log(out: Path, message: str) -> None:
-    stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    with open(out / "run.log", "a", encoding="utf-8") as handle:
-        handle.write(f"{stamp} {message}\n")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _record_doc(record: trainer.ResultRecord) -> dict:
-    doc = record.to_dict()
-    del doc["wall_ms"]  # wall time goes to the sidecar log only
-    return doc
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: a config command returns its primary outputs as
+# {filename: text} and a note for the run.log line; ``main`` writes them
 # ---------------------------------------------------------------------------
+
+_Outputs = tuple[dict[str, str], str]
+
 
 def _cmd_spectrum(args) -> int:
     if (args.weights is None) == (args.exp is None):
@@ -214,7 +218,7 @@ def _cmd_spectrum(args) -> int:
         print(f"spectrum: invalid weights: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     spec = spectrum(enc)
-    doc = {
+    text = _json({
         "weights": list(enc.weights),
         "distinct_count": spec.distinct_count,
         "d_f": spec.d_f,
@@ -223,8 +227,7 @@ def _cmd_spectrum(args) -> int:
         "maximally_nondegenerate": spec.is_nondegenerate,
         "support": [int(v) for v in spec.support],
         "multiplicity": [int(v) for v in spec.multiplicity],
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -282,130 +285,103 @@ def _build_train_pieces(config: dict):
     return model, data, cfg, fm
 
 
-def _cmd_train(config: dict) -> int:
+def _train_files(record: trainer.ResultRecord) -> dict[str, str]:
+    doc = record.to_dict()
+    del doc["wall_ms"]  # wall time goes to the sidecar log only
+    return {"result.json": _json(doc), "trace.csv": record.trace_csv()}
+
+
+def _cmd_train(config: dict) -> _Outputs:
     model, data, cfg, fm = _build_train_pieces(config)
-    started = time.perf_counter()
     try:
         record = trainer.train(model, data, cfg, feature_map=fm)
     except TrainingError as exc:
-        out = _prepare_output_dir(config)
-        if exc.record is not None:
-            _write_json(out / "result.json", _record_doc(exc.record))
-            (out / "trace.csv").write_text(exc.record.trace_csv(), encoding="utf-8")
-        _log(out, f"diverged after {time.perf_counter() - started:.3f}s: {exc}")
-        print(f"train: {exc} (partial results in {out})", file=sys.stderr)
-        return _EXIT_DIVERGED
-    out = _prepare_output_dir(config)
-    _write_json(out / "result.json", _record_doc(record))
-    (out / "trace.csv").write_text(record.trace_csv(), encoding="utf-8")
-    _log(out, f"train finished in {record.wall_ms:.0f} ms, "
-              f"final loss {record.final_loss:.6g}")
-    return _EXIT_OK
+        exc.files = {} if exc.record is None else _train_files(exc.record)
+        raise
+    return _train_files(record), f", final loss {record.final_loss:.6g}"
 
 
-def _cmd_compare(config: dict) -> int:
-    started = time.perf_counter()
+def _cmd_compare(config: dict) -> _Outputs:
     result = trainer.run_expressivity_comparison(
         base_seed=config["seed"], **_library_fields(config)
     )
-    out = _prepare_output_dir(config)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["r", "model", "run", "step", "loss"])
-    for ri, r in enumerate(result.r_values):
-        for family, rows in (("qfflm", result.quantum), ("cfflm", result.classical)):
-            for run in range(result.runs):
-                for step, loss in enumerate(rows[ri][run].loss_trace):
-                    writer.writerow([_fmt(r), family, run, step, _fmt(loss)])
-    (out / "losses.csv").write_text(buffer.getvalue(), encoding="utf-8")
-    summary = {"r_values": result.r_values, "runs": result.runs, "per_r": []}
-    for ri, r in enumerate(result.r_values):
-        quantum = result.final_losses("quantum")[ri]
-        classical = result.final_losses("classical")[ri]
-        summary["per_r"].append({
-            "r": r,
-            "qfflm_final": [float(v) for v in quantum],
-            "cfflm_final": [float(v) for v in classical],
-            "qfflm_saturated_mean": float(quantum.mean()),
-            "cfflm_saturated_mean": float(classical.mean()),
-        })
-    _write_json(out / "summary.json", summary)
-    _log(out, f"compare finished in {time.perf_counter() - started:.1f}s")
-    return _EXIT_OK
+    losses = (
+        [r, family, run, step, loss]
+        for ri, r in enumerate(result.r_values)
+        for family, rows in (("qfflm", result.quantum), ("cfflm", result.classical))
+        for run in range(result.runs)
+        for step, loss in enumerate(rows[ri][run].loss_trace)
+    )
+    per_r = [
+        {"r": r, "qfflm_final": q.tolist(), "cfflm_final": c.tolist(),
+         "qfflm_saturated_mean": float(q.mean()), "cfflm_saturated_mean": float(c.mean())}
+        for r, q, c in zip(result.r_values, result.final_losses("quantum"),
+                           result.final_losses("classical"))
+    ]
+    return {
+        "losses.csv": _csv(["r", "model", "run", "step", "loss"], losses),
+        "summary.json": _json({"r_values": result.r_values, "runs": result.runs,
+                               "per_r": per_r}),
+    }, ""
 
 
-def _cmd_plateau(config: dict) -> int:
-    started = time.perf_counter()
+def _cmd_plateau(config: dict) -> _Outputs:
     reports, fit = analysis.plateau_sweep(
         rng=make_rng(config["seed"]), **_library_fields(config)
     )
-    out = _prepare_output_dir(config)
-    (out / "plateau.csv").write_text(analysis.plateau_csv(reports), encoding="utf-8")
-    _write_json(out / "plateau.json", {
-        "reports": [r.to_dict() for r in reports],
-        "fit": {"slope": fit.slope, "intercept": fit.intercept, "alpha": fit.alpha},
-    })
-    _log(out, f"plateau finished in {time.perf_counter() - started:.1f}s")
-    return _EXIT_OK
+    return {
+        "plateau.csv": analysis.plateau_csv(reports),
+        "plateau.json": _json({
+            "reports": [r.to_dict() for r in reports],
+            "fit": {"slope": fit.slope, "intercept": fit.intercept, "alpha": fit.alpha},
+        }),
+    }, ""
 
 
-def _cmd_resources(config: dict) -> int:
-    rows = [
+def _cmd_resources(config: dict) -> _Outputs:
+    reports = [
         analysis.resource_report(
             N_gt=n_gt, N_tp=config["N_tp"], K=config["K"], M=config["M"],
             eps=config["eps"],
         )
         for n_gt in config["gate_counts"]
     ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["N_gt", "resrc_q", "resrc_c", "advantage", "crossing_eps",
-                     "log_margin"])
-    for report in rows:
-        margin = analysis.advantage_criterion(
-            report.N_gt, report.eps, report.K, report.M
-        ).log_margin
-        writer.writerow([
-            report.N_gt, report.resrc_q, report.resrc_c,
-            int(report.advantage), _fmt(report.crossing_eps), _fmt(margin),
-        ])
-    out = _prepare_output_dir(config)
-    (out / "resources.csv").write_text(buffer.getvalue(), encoding="utf-8")
-    _write_json(out / "resources.json", {"reports": [r.to_dict() for r in rows]})
-    return _EXIT_OK
+    rows = (
+        [r.N_gt, r.resrc_q, r.resrc_c, int(r.advantage), r.crossing_eps,
+         analysis.advantage_criterion(r.N_gt, r.eps, r.K, r.M).log_margin]
+        for r in reports
+    )
+    return {
+        "resources.csv": _csv(["N_gt", "resrc_q", "resrc_c", "advantage", "crossing_eps",
+                               "log_margin"], rows),
+        "resources.json": _json({"reports": [r.to_dict() for r in reports]}),
+    }, ""
 
 
-def _cmd_bicone(config: dict) -> int:
+def _cmd_bicone(config: dict) -> _Outputs:
     rng = make_rng(config["seed"])
     fm = FeatureMap(n_variables=1, degrees=(1,))
     box = config.get("box", 1.5)
-    samples = rng.uniform(-box, box, (config["n_samples"], 3))
+    n_samples = config["n_samples"]
     disagreements = []
-    agree = 0
-    for c in samples:
+    for c in rng.uniform(-box, box, (n_samples, 3)):
         analytic = analysis.bicone_contains(c)
         numeric = analysis.numerical_membership(c, fm, config["grid_points"]).member
-        if analytic == numeric:
-            agree += 1
-        else:
+        if analytic != numeric:
             margin = abs(c[0]) + np.sqrt(2 * (c[1] ** 2 + c[2] ** 2)) - 1.0
-            disagreements.append((c, margin, analytic, numeric))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["c1", "c2", "c3", "boundary_margin", "analytic", "numeric"])
-    for c, margin, analytic, numeric in disagreements:
-        writer.writerow([_fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(margin),
-                         int(analytic), int(numeric)])
-    out = _prepare_output_dir(config)
-    (out / "disagreements.csv").write_text(buffer.getvalue(), encoding="utf-8")
-    _write_json(out / "summary.json", {
-        "n_samples": config["n_samples"],
-        "agreements": agree,
-        "agreement_rate": agree / config["n_samples"],
-        "max_disagreement_margin": max((abs(m) for _, m, _, _ in disagreements),
-                                       default=0.0),
-    })
-    return _EXIT_OK
+            disagreements.append([*c, margin, int(analytic), int(numeric)])
+    agree = n_samples - len(disagreements)
+    return {
+        "disagreements.csv": _csv(["c1", "c2", "c3", "boundary_margin", "analytic",
+                                   "numeric"], disagreements),
+        "summary.json": _json({
+            "n_samples": n_samples,
+            "agreements": agree,
+            "agreement_rate": agree / n_samples,
+            "max_disagreement_margin": max((abs(row[3]) for row in disagreements),
+                                           default=0.0),
+        }),
+    }, ""
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +479,17 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         schema, runner = _CONFIG_COMMANDS[args.command]
-        return runner(_load_config(args.config, schema))
+        config = _load_config(args.config, schema)
+        started = time.perf_counter()
+        try:
+            files, note = runner(config)
+        except TrainingError as exc:
+            out = _write_outputs(config, getattr(exc, "files", {}), started,
+                                 f"{args.command} diverged: {exc}")
+            print(f"{args.command}: {exc} (partial results in {out})", file=sys.stderr)
+            return _EXIT_DIVERGED
+        _write_outputs(config, files, started, f"{args.command} finished{note}")
+        return _EXIT_OK
     except ValueError as exc:  # ConfigError, or a value the library rejects
         print(f"{args.command}: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -256,6 +256,12 @@ def mse_loss(predictions, targets) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
+# Adam's moment decay rates and the guard added to the update's denominator
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Parameters plus first/second moment accumulators."""
@@ -264,15 +270,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def initialize(cls, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def initialize(cls, params):
         params = np.asarray(params, dtype=np.float64).copy()
-        return cls(params=params, m=np.zeros_like(params), v=np.zeros_like(params),
-                   beta1=beta1, beta2=beta2, eps=eps)
+        return cls(params=params, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(state: AdamState, grads, lr: float) -> AdamState:
@@ -287,11 +289,11 @@ def adam_step(state: AdamState, grads, lr: float) -> AdamState:
         )
     state.step_count += 1
     t = state.step_count
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-    state.params = state.params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
+    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
+    m_hat = state.m / (1.0 - _BETA1**t)
+    v_hat = state.v / (1.0 - _BETA2**t)
+    state.params = state.params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return state
 
 
@@ -304,11 +306,8 @@ class TrainConfig:
     learning_rate: float = 0.03
     steps: int = 500
     batch_size: int | None = None  # None: full batch
-    shots: int | None = None  # None: exact expectation values
+    shots: int | None = None  # quantum models only; None: exact expectation values
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     divergence_threshold: float = 1e6
     recover_coefficients: bool = False
     allow_sub_nyquist: bool = False
@@ -434,7 +433,7 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
     ``data``, or on ``test_data`` when ``test`` is true; ``recover(params)``
     returns the coefficient vector.  The callables keep ``counters``.
     """
-    state = AdamState.initialize(params, cfg.beta1, cfg.beta2, cfg.eps)
+    state = AdamState.initialize(params)
     trace: list[float] = []
     test_trace: list[float] | None = [] if test_data is not None else None
 
@@ -527,6 +526,8 @@ def _train_classical(
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, feature map expects {fm.n_variables}"
         )
+    if cfg.shots is not None:
+        raise ValueError("shots applies to quantum models only; a classical fit is exact")
     if cfg.recover_coefficients:
         _nyquist_check(data.inputs, fm.degrees, cfg.allow_sub_nyquist)
     projection = model.projection

@@ -8,6 +8,7 @@ import pytest
 
 from fourierqml import analysis, spectra, trainer
 from fourierqml.cli import _CONFIG_COMMANDS, main
+from fourierqml.errors import TrainingError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -179,6 +180,20 @@ class TestTrainCommand:
         assert result["config"]["aborted"] == "divergence"
         assert (out / "trace.csv").exists()
 
+    def test_divergence_without_a_record(self, tmp_path, monkeypatch, capsys):
+        # a non-finite gradient aborts before any record exists: the run
+        # still leaves its config and a run.log line, and exits 3
+        def abort(*args, **kwargs):
+            raise TrainingError("non-finite gradient at step 1")
+
+        monkeypatch.setattr(trainer, "train", abort)
+        out = tmp_path / "run"
+        config = write_config(tmp_path, quantum_train_config(out))
+        assert main(["train", "--config", config]) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "run.log"]
+        assert "train diverged: non-finite gradient" in (out / "run.log").read_text()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         doc = quantum_train_config(tmp_path / "run", typo_field=1)
         assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
@@ -242,9 +257,9 @@ class TestCompareCommand:
         assert main(["compare", "--config", config]) == 0
         assert (out / "losses.csv").read_bytes() == first
 
-    # compare runs serially and takes no thread cap from its config or the
-    # environment: a config that asks for one is refused before any run.
-    def test_thread_cap_env(self, tmp_path, capsys):
+    # compare takes no thread cap: a config that asks for one is refused as
+    # an unknown field before any run.
+    def test_unknown_field_refused_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         doc = self._config(out)
         doc["threads"] = 8
@@ -252,12 +267,21 @@ class TestCompareCommand:
         assert "'threads' was unexpected" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_thread_cap(self, tmp_path, capsys):
+    def test_unknown_field_refused_whatever_its_value(self, tmp_path, capsys):
         # an invalid cap is refused as an unknown field, not as a bad value
         doc = self._config(tmp_path / "cmp")
         doc["threads"] = "lots"
         assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
         assert "'threads' was unexpected" in capsys.readouterr().err
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # a fit that diverges inside the comparison aborts it with exit 3
+        out = tmp_path / "cmp"
+        doc = self._config(out)
+        doc["learning_rate"] = 1e8
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 3
+        assert "divergence threshold" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "run.log"]
 
     def test_zero_runs_rejected(self, tmp_path):
         doc = self._config(tmp_path / "cmp")
@@ -300,6 +324,7 @@ class TestResourcesCommand:
         assert len(lines) == 3
         doc = json.loads((out / "resources.json").read_text())
         assert doc["reports"][0]["resrc_c"] == 244
+        assert "resources finished" in (out / "run.log").read_text()
 
 
 class TestBiconeCommand:
@@ -314,6 +339,24 @@ class TestBiconeCommand:
         assert summary["agreement_rate"] >= 0.99
         header = (out / "disagreements.csv").read_text().split("\n")[0]
         assert header == "c1,c2,c3,boundary_margin,analytic,numeric"
+        assert "bicone finished" in (out / "run.log").read_text()
+
+    def test_disagreement_rows(self, tmp_path):
+        # a coarse grid on a box near the bicone's boundary disagrees 15 times
+        out = tmp_path / "bicone"
+        config = write_config(tmp_path, {
+            "version": "bicone-v1", "seed": 7, "output_dir": str(out),
+            "n_samples": 300, "grid_points": 8, "box": 1.2,
+        })
+        assert main(["bicone", "--config", config]) == 0
+        rows = (out / "disagreements.csv").read_text().strip().split("\n")[1:]
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(rows) == 15
+        assert summary["agreements"] == summary["n_samples"] - len(rows)
+        margins = [abs(float(row.split(",")[3])) for row in rows]
+        assert summary["max_disagreement_margin"] == max(margins)
+        for row in rows:
+            assert row.split(",")[4:] in (["0", "1"], ["1", "0"])
 
 
 class TestNonFiniteConstants:
@@ -420,10 +463,15 @@ class TestLibraryRejections:
             out, n_qubits=3, n_points=10, recover_coefficients=True), "alias"),
         ("train", lambda out: quantum_train_config(
             out, target={"kind": "coefficients", "values": [0.1, 0.2]}), "odd length"),
+        ("train", lambda out: {
+            "version": "train-v1", "seed": 0, "output_dir": str(out), "family": "classical",
+            "degree": 3, "target": {"kind": "step"}, "steps": 5, "shots": 5,
+        }, "shots applies to quantum models only"),
         ("compare", lambda out: compare_config(out, split=12), "split must be in 1..8"),
         ("plateau", lambda out: plateau_config(out, qubit_counts=[2]), "two sizes"),
     ], ids=["train-kappa", "train-dimension", "train-encoding", "train-sub-nyquist",
-            "train-even-coefficients", "compare-split", "plateau-one-count"])
+            "train-even-coefficients", "train-classical-shots", "compare-split",
+            "plateau-one-count"])
     def test_exit_code_and_message(self, tmp_path, capsys, command, make_doc, message):
         out = tmp_path / "out"
         config = write_config(tmp_path, make_doc(out))

@@ -595,9 +595,10 @@ class TestDiagonalEngine:
                     encoding=EncodingSpec(weights=(1, 3))), 10**7),
     ], ids=["parallel-6q", "parallel-7q", "parallel-8q", "ring", "serial"])
     def test_rule_keeps_the_adjoint(self, spec, rows):
-        # at 7 and 8 qubits the engine's 4**n products per row cost more
-        # than the adjoint's gates at any row count; Ring and Serial
-        # encodings are never run as one diagonal
+        # at 7 and 8 qubits the rule's price for the engine's 4**n products
+        # per row is above its price for the adjoint's gates at every row
+        # count, so it picks the adjoint; Ring and Serial encodings are
+        # never run as one diagonal
         assert not qfflm._diagonal_fits(spec, rows)
 
 
@@ -857,6 +858,16 @@ class TestFourierCoefficients:
             np.testing.assert_allclose(
                 fc.synthesize(xs), evaluate_batch(spec, theta, xs), atol=1e-9
             )
+
+    def test_synthesis_of_one_point_is_a_float(self):
+        # an input of shape (M,) is one point and gives a Python float
+        spec = sample_specs()[1]
+        theta = init_parameters(spec, make_rng(42))
+        fc = fourier_coefficients(spec, theta)
+        x = make_rng(43).uniform(-np.pi, np.pi, size=spec.n_variables)
+        value = fc.synthesize(x)
+        assert isinstance(value, float)
+        assert value == pytest.approx(evaluate_batch(spec, theta, x[None, :])[0], abs=1e-9)
 
     @pytest.mark.parametrize("spec", [
         JACOBIAN_SPECS["parallel"],

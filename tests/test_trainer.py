@@ -298,6 +298,12 @@ class TestClassicalTraining(SharedLoopChecks):
                   - mse_loss(phi @ (c0 - step), data.outputs)) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
+    def test_shots_rejected(self):
+        # a classical fit is exact; a shot count would be recorded yet never read
+        data = make_step_dataset(8)
+        with pytest.raises(ValueError, match="shots"):
+            self.train(data, TrainConfig(steps=2, shots=5))
+
 
 class TestQuantumTraining(SharedLoopChecks):
     EVALUATIONS = "circuit_evaluations"
@@ -522,6 +528,16 @@ class TestCsvDataset:
         path = self._write(tmp_path, "a,y\n1,2\n")
         with pytest.raises(ValueError, match="not in header"):
             load_csv_dataset(path, ["z"], "y")
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = self._write(tmp_path, "")
+        with pytest.raises(DatasetParseError, match="row 1: empty file"):
+            load_csv_dataset(path, ["a"], "y")
+
+    def test_header_only_rejected(self, tmp_path):
+        path = self._write(tmp_path, "a,y\n\n")
+        with pytest.raises(DatasetParseError, match="row 2: no data rows"):
+            load_csv_dataset(path, ["a"], "y")
 
 
 class TestExperiments:
