@@ -48,7 +48,6 @@ __all__ = [
     "DecayFit",
     "fit_decay",
     "empirical_epsilon",
-    "plateau_csv",
     "bicone_contains",
     "MembershipResult",
     "numerical_membership",
@@ -139,9 +138,6 @@ class ResourceReport:
     advantage: bool
     crossing_eps: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def resource_report(
     N_gt: int,
@@ -191,9 +187,6 @@ class VarianceBound:
     bound: float
     grad_second_moment: float
     gamma: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def variance_bounds(d: int, case: str) -> VarianceBound:
@@ -262,8 +255,7 @@ class PlateauReport:
     alpha: float | None = None
 
     def to_dict(self) -> dict:
-        doc = dict(self.__dict__)
-        return doc
+        return asdict(self)
 
 
 _MAX_HAAR_QUBITS = 16
@@ -457,17 +449,6 @@ def empirical_epsilon(report: PlateauReport) -> float:
     formulas prices the plateau into the quantum cost.
     """
     return min(math.sqrt(report.mean_sq_f), math.sqrt(report.mean_sq_grad))
-
-
-def plateau_csv(reports: list[PlateauReport]) -> str:
-    """Plot-ready CSV: d, trials, mean_f, se_mean_f, var_f, predicted, zscore."""
-    lines = ["d,trials,mean_f,se_mean_f,var_f,predicted,zscore"]
-    for r in reports:
-        lines.append(
-            f"{r.d},{r.trials},{r.mean_f:.17g},{r.se_mean_f:.17g},"
-            f"{r.var_f:.17g},{r.predicted_mean_sq_f:.17g},{r.zscore_mean_sq_f:.17g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

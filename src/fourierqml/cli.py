@@ -3,8 +3,9 @@
 One-shot queries (``spectrum``) take flags; experiments (``train``,
 ``compare``, ``plateau``, ``resources``, ``bicone``) take a ``--config``
 JSON document with a top-level ``{version, seed, output_dir}``, validated
-strictly against a schema (unknown fields, ``NaN``, ``Infinity`` and
-floats such as ``2.0`` in integer fields are rejected), then passed by
+strictly against a schema (unknown fields, fields the model family or
+target kind does not read, ``NaN``, ``Infinity`` and floats such as
+``2.0`` in integer fields are rejected), then passed by
 name to the library call it configures, whose signature holds the
 defaults.  Each experiment returns its primary outputs, and ``main``
 writes them: the output directory, with the config archived next to the
@@ -13,7 +14,9 @@ once a run has finished or diverged.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
-times go to the ``run.log`` sidecar only.
+times go to the ``run.log`` sidecar only.  Only this module turns results
+into text, every JSON file through ``_json`` and every CSV file through
+``_csv``.
 
 Exit codes: 0 success, 2 usage or config error (a value the library
 rejects included), 3 divergence during training (a diverged ``train``
@@ -36,7 +39,14 @@ import numpy as np
 
 from . import analysis, trainer
 from .cfflm import ClassicalModel, FeatureMap, leading_feature_projection
-from .errors import CapacityError, ConfigError, TrainingError, closed_schema, load_document
+from .errors import (
+    CapacityError,
+    ConfigError,
+    TrainingError,
+    closed_schema,
+    load_document,
+    tagged_union,
+)
 from .qfflm import AnsatzSpec, Parallel
 from .rng import make_rng
 from .spectra import (
@@ -66,10 +76,22 @@ def _base_schema(version: str, extra: dict, required: list[str]) -> dict:
 _POSITIVE_INT = {"type": "integer", "minimum": 1}
 _WEIGHTS = {"type": "array", "items": _POSITIVE_INT, "minItems": 1}
 
+# fields of one target kind, all required
+_TARGET_KINDS = {
+    "step": ("kind",),
+    "random_fourier": ("kind", "kappa", "split", "r", "target_seed"),
+    "coefficients": ("kind", "values"),
+}
+# fields only one model family reads
+_FAMILY_ONLY = {
+    "quantum": ("n_qubits", "n_layers", "encoding", "rotation_params"),
+    "classical": ("degree", "dimension"),
+}
+
 _TRAIN_SCHEMA = _base_schema(
     "train-v1",
     {
-        "family": {"enum": ["quantum", "classical"]},
+        "family": {"enum": list(_FAMILY_ONLY)},
         "n_qubits": _POSITIVE_INT,
         "n_layers": {"type": "integer", "minimum": 0},
         "encoding": {
@@ -79,17 +101,16 @@ _TRAIN_SCHEMA = _base_schema(
         "degree": _POSITIVE_INT,
         "dimension": _POSITIVE_INT,
         "target": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["step", "random_fourier", "coefficients"]},
+            **closed_schema({
+                "kind": {"enum": list(_TARGET_KINDS)},
                 "kappa": _POSITIVE_INT,
                 "split": _POSITIVE_INT,
                 "r": {"type": "number", "exclusiveMinimum": 0},
                 "target_seed": {"type": "integer", "minimum": 0},
                 "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            },
+            }, ["kind"]),
+            **tagged_union("kind", {kind: closed_schema(dict.fromkeys(names, True))
+                                    for kind, names in _TARGET_KINDS.items()}),
         },
         "n_points": {"type": "integer", "minimum": 2},
         "learning_rate": {"type": "number", "exclusiveMinimum": 0},
@@ -100,6 +121,11 @@ _TRAIN_SCHEMA = _base_schema(
     },
     ["family", "target"],
 )
+_TRAIN_SCHEMA.update(tagged_union("family", {
+    family: closed_schema({name: True for name in _TRAIN_SCHEMA["properties"]
+                           if name not in _FAMILY_ONLY[other]}, [])
+    for family, other in (("quantum", "classical"), ("classical", "quantum"))
+}))
 
 _COMPARE_SCHEMA = _base_schema(
     "compare-v1",
@@ -170,7 +196,8 @@ def _library_fields(config: dict) -> dict:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON text of ``doc``, numpy arrays written as lists."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -225,8 +252,8 @@ def _cmd_spectrum(args) -> int:
         "feature_dimension": spec.feature_dimension,
         "dense": spec.is_dense,
         "maximally_nondegenerate": spec.is_nondegenerate,
-        "support": [int(v) for v in spec.support],
-        "multiplicity": [int(v) for v in spec.multiplicity],
+        "support": spec.support,
+        "multiplicity": spec.multiplicity,
     })
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -241,19 +268,12 @@ def _build_train_pieces(config: dict):
     if kind == "step":
         target = trainer.StepTarget()
     elif kind == "random_fourier":
-        for field in ("kappa", "split", "r", "target_seed"):
-            if field not in target_cfg:
-                raise ConfigError(f"random_fourier target needs {field!r}")
         target = trainer.make_random_fourier_target(
             target_cfg["kappa"], target_cfg["split"], target_cfg["r"],
             seed=target_cfg["target_seed"],
         )
     else:
-        if "values" not in target_cfg:
-            raise ConfigError("coefficients target needs 'values'")
-        target = trainer.FourierTarget(
-            coefficients=np.asarray(target_cfg["values"], dtype=np.float64)
-        )
+        target = trainer.FourierTarget(coefficients=target_cfg["values"])
     data = trainer.make_grid_dataset(target, config.get("n_points", 200))
 
     cfg = trainer.TrainConfig(
@@ -286,9 +306,13 @@ def _build_train_pieces(config: dict):
 
 
 def _train_files(record: trainer.ResultRecord) -> dict[str, str]:
-    doc = record.to_dict()
+    doc = dataclasses.asdict(record)
     del doc["wall_ms"]  # wall time goes to the sidecar log only
-    return {"result.json": _json(doc), "trace.csv": record.trace_csv()}
+    test = record.test_loss_trace
+    trace = ([step, loss, "" if test is None else test[step]]
+             for step, loss in enumerate(record.loss_trace.tolist()))
+    return {"result.json": _json(doc),
+            "trace.csv": _csv(["step", "train_loss", "test_loss"], trace)}
 
 
 def _cmd_train(config: dict) -> _Outputs:
@@ -313,7 +337,7 @@ def _cmd_compare(config: dict) -> _Outputs:
         for step, loss in enumerate(rows[ri][run].loss_trace)
     )
     per_r = [
-        {"r": r, "qfflm_final": q.tolist(), "cfflm_final": c.tolist(),
+        {"r": r, "qfflm_final": q, "cfflm_final": c,
          "qfflm_saturated_mean": float(q.mean()), "cfflm_saturated_mean": float(c.mean())}
         for r, q, c in zip(result.r_values, result.final_losses("quantum"),
                            result.final_losses("classical"))
@@ -329,12 +353,13 @@ def _cmd_plateau(config: dict) -> _Outputs:
     reports, fit = analysis.plateau_sweep(
         rng=make_rng(config["seed"]), **_library_fields(config)
     )
+    rows = ([r.d, r.trials, r.mean_f, r.se_mean_f, r.var_f, r.predicted_mean_sq_f,
+             r.zscore_mean_sq_f] for r in reports)
     return {
-        "plateau.csv": analysis.plateau_csv(reports),
-        "plateau.json": _json({
-            "reports": [r.to_dict() for r in reports],
-            "fit": {"slope": fit.slope, "intercept": fit.intercept, "alpha": fit.alpha},
-        }),
+        "plateau.csv": _csv(["d", "trials", "mean_f", "se_mean_f", "var_f", "predicted",
+                             "zscore"], rows),
+        "plateau.json": _json({"reports": [dataclasses.asdict(r) for r in reports],
+                               "fit": fit._asdict()}),
     }, ""
 
 
@@ -354,7 +379,7 @@ def _cmd_resources(config: dict) -> _Outputs:
     return {
         "resources.csv": _csv(["N_gt", "resrc_q", "resrc_c", "advantage", "crossing_eps",
                                "log_margin"], rows),
-        "resources.json": _json({"reports": [r.to_dict() for r in reports]}),
+        "resources.json": _json({"reports": [dataclasses.asdict(r) for r in reports]}),
     }, ""
 
 

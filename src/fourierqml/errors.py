@@ -57,6 +57,17 @@ def closed_schema(properties: dict, required: list | None = None) -> dict:
             "properties": properties}
 
 
+def tagged_union(tag: str, variants: dict) -> dict:
+    """Schema applying ``variants[value]`` to an object whose ``tag`` field is ``value``.
+
+    A ``oneOf`` over closed variants can only report that no variant
+    matched; here the one variant the tag selects reports the unknown or
+    missing field by name.
+    """
+    return {"allOf": [{"if": {"properties": {tag: {"const": value}}, "required": [tag]},
+                       "then": schema} for value, schema in variants.items()]}
+
+
 def load_document(text: str, schema: dict, what: str):
     """Parse ``text`` as JSON and validate it against ``schema``.
 

@@ -80,7 +80,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, closed_schema, load_document
+from .errors import CapacityError, closed_schema, load_document, tagged_union
 from .spectra import EncodingSpec, FrequencySpectrum, spectrum
 from .statevector import (
     MAX_QUBITS,
@@ -442,14 +442,10 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     axis, so one pass covers every (theta variant, datum) pair.  The
     opening block reads no data: it runs on one row per variant, which is
     then copied to every row, with the same arithmetic as a full batch.
+    Shapes and finiteness are the caller's to check (``_as_theta``,
+    ``_as_inputs``).
     """
-    ops, n_params = _program(spec)
-    if thetas.shape[1] != n_params:
-        raise ValueError(f"theta length {thetas.shape[1]} != N_tp {n_params}")
-    if xs.shape[1] != spec.n_variables:
-        raise ValueError(f"x length {xs.shape[1]} != n_variables {spec.n_variables}")
-    if not (np.isfinite(thetas).all() and np.isfinite(xs).all()):
-        raise ValueError("theta and x entries must be finite")
+    ops, _ = _program(spec)
     n = spec.total_qubits
     n_open = _opening_length(ops)
     amps = _apply_ops(_zero_states(thetas.shape[0], n), n, ops[:n_open], thetas, None)
@@ -508,11 +504,15 @@ def _as_theta(spec: AnsatzSpec, theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != param_count(spec):
         raise ValueError(f"theta must have length {param_count(spec)}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("theta entries must be finite")
     return arr
 
 
 def _as_inputs(spec: AnsatzSpec, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("x entries must be finite")
     if arr.ndim == 0:
         arr = arr[None]
     if arr.ndim == 1:
@@ -949,12 +949,16 @@ _ANSATZ_SCHEMA = closed_schema({
     "version": {"const": ANSATZ_FORMAT_VERSION},
     **dict.fromkeys(("n_variables", "n_qubits", "n_layers", "rotation_params", "measured_qubit"),
                     _INT),
-    "topology": {"oneOf": [
-        closed_schema({"kind": {"const": "parallel"}}),
-        closed_schema({"kind": {"const": "serial"}, "reuploads": _INT, "encoders_per_block": _INT},
-                      ["kind", "reuploads"]),
-        closed_schema({"kind": {"const": "ring"}, "reuploads": _INT}),
-    ]},
+    "topology": {
+        **closed_schema({"kind": {"enum": ["parallel", "serial", "ring"]}, "reuploads": _INT,
+                         "encoders_per_block": _INT}, ["kind"]),
+        **tagged_union("kind", {
+            "parallel": closed_schema({"kind": True}),
+            "serial": closed_schema(dict.fromkeys(("kind", "reuploads", "encoders_per_block"),
+                                                  True), ["kind", "reuploads"]),
+            "ring": closed_schema(dict.fromkeys(("kind", "reuploads"), True)),
+        }),
+    },
     # one weight list, or one per variable
     "encoding": {"oneOf": [_WEIGHTS, {"type": "array", "items": _WEIGHTS, "minItems": 1}]},
 })

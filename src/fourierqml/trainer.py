@@ -29,8 +29,6 @@ config) pair fully determines every trace.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -322,9 +320,6 @@ class TrainConfig:
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ResultRecord:
@@ -332,7 +327,8 @@ class ResultRecord:
 
     ``loss_trace`` has ``steps + 1`` entries: the loss at the parameters
     entering each step, plus the final post-update loss.  The last entry
-    is the run's saturated loss.
+    is the run's saturated loss.  The CLI writes it, through
+    ``dataclasses.asdict``, as ``result.json`` and ``trace.csv``.
     """
 
     config: dict
@@ -347,36 +343,6 @@ class ResultRecord:
     @property
     def final_loss(self) -> float:
         return float(self.loss_trace[-1])
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "loss_trace": [float(v) for v in self.loss_trace],
-            "test_loss_trace": None
-            if self.test_loss_trace is None
-            else [float(v) for v in self.test_loss_trace],
-            "final_params": [float(v) for v in self.final_params],
-            "resource_counters": self.resource_counters,
-            "wall_ms": self.wall_ms,
-            "recovered_coefficients": None
-            if self.recovered_coefficients is None
-            else [float(v) for v in self.recovered_coefficients],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def trace_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["step", "train_loss", "test_loss"])
-        for step, loss in enumerate(self.loss_trace):
-            test = ""
-            if self.test_loss_trace is not None:
-                test = format(self.test_loss_trace[step], ".17g")
-            writer.writerow([step, format(loss, ".17g"), test])
-        return out.getvalue()
 
 
 def _nyquist_check(inputs: np.ndarray, degrees, allow: bool) -> None:
@@ -407,7 +373,8 @@ def train(
     Quantum runs initialize every angle uniformly on [-pi, pi) from the
     config seed; classical runs start from the model's coefficients as
     given.  Raises ``TrainingError`` carrying the partial record when the
-    loss exceeds the divergence threshold or stops being finite.
+    loss exceeds the divergence threshold or stops being finite, or when
+    an update leaves a parameter non-finite.
     """
     if isinstance(model, AnsatzSpec):
         return _train_quantum(model, data, cfg, test_data)
@@ -449,6 +416,9 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
             recovered_coefficients=recovered,
         )
 
+    def diverged(message: str) -> TrainingError:
+        return TrainingError(message, record=record(dict(asdict(cfg), aborted="divergence")))
+
     for _ in range(cfg.steps):
         idx = _batch_indices(rng, len(data), cfg.batch_size)
         values, jac = batch(state.params, idx)
@@ -458,18 +428,17 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
         if test_trace is not None:
             test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
         if not np.isfinite(loss) or loss > cfg.divergence_threshold:
-            raise TrainingError(
-                f"loss {loss} exceeded divergence threshold after {len(trace)} steps",
-                record=record(dict(cfg.to_dict(), aborted="divergence")),
-            )
+            raise diverged(f"loss {loss} exceeded divergence threshold after {len(trace)} steps")
         grad = (2.0 / idx.size) * (jac.T @ residual)
         adam_step(state, grad, cfg.learning_rate)
+        if not np.isfinite(state.params).all():
+            raise diverged(f"non-finite parameters after {len(trace)} steps")
 
     trace.append(mse_loss(exact(state.params, False), data.outputs))
     if test_trace is not None:
         test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
     recovered = recover(state.params) if cfg.recover_coefficients else None
-    return record(cfg.to_dict(), recovered)
+    return record(asdict(cfg), recovered)
 
 
 def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data) -> ResultRecord:

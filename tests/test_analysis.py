@@ -1,8 +1,11 @@
 """Resource formulas, plateau Monte Carlo, and bounded-model geometry."""
 
+import json
+
 import numpy as np
 import pytest
 
+from fourierqml import cli
 from fourierqml.analysis import (
     advantage_criterion,
     bicone_contains,
@@ -10,7 +13,6 @@ from fourierqml.analysis import (
     empirical_epsilon,
     fit_decay,
     numerical_membership,
-    plateau_csv,
     plateau_stats,
     plateau_sweep,
     resource_report,
@@ -159,8 +161,10 @@ class TestResourceReport:
                                  classical_n_tp=0)
         assert np.isinf(report.crossing_eps)
 
-    def test_to_dict_keys(self):
-        doc = resource_report(N_gt=26, N_tp=16, K=81, M=1, eps=0.5).to_dict()
+    def test_resources_json_keys(self):
+        files, _ = cli._cmd_resources({"K": 81, "M": 1, "eps": 0.5, "N_tp": 16,
+                                       "gate_counts": [26]})
+        [doc] = json.loads(files["resources.json"])["reports"]
         assert set(doc) == {"N_gt", "N_tp", "eps", "resrc_q", "K", "M",
                             "resrc_c", "advantage", "crossing_eps"}
 
@@ -356,8 +360,8 @@ class TestPlateauStats:
             plateau_stats(1, 2, 500, make_rng(0), grad_case="IV")
 
     def test_csv_shape(self):
-        reports = [plateau_stats(1, n, 200, make_rng(n)) for n in (1, 2)]
-        lines = plateau_csv(reports).strip().split("\n")
+        files, _ = cli._cmd_plateau({"seed": 1, "qubit_counts": [1, 2], "trials": 200})
+        lines = files["plateau.csv"].strip().split("\n")
         assert lines[0] == "d,trials,mean_f,se_mean_f,var_f,predicted,zscore"
         assert len(lines) == 3
         assert lines[1].startswith("2,200,")

@@ -75,3 +75,14 @@ def test_exact_fit_counts_match_the_record(bench_tracer):
     assert tracer.counters["qfflm.circuit_evals"] == record.resource_counters["circuit_evaluations"]
     for span in ("statevector.apply_ry", "statevector.apply_rz", "statevector.apply_cnot"):
         assert tracer.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("name", ["fit-q4", "fit-classical"])
+def test_benchmark_train_configs_validate(monkeypatch, tmp_path, name):
+    """The CLI fit workloads write train-v1 configs; a schema that refused
+    them would make every benchmark operation fail instead of this test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    fit = workloads.WORKLOADS[name](0, tmp_path, None)
+    config = cli._load_config(str(fit.config_path), cli._TRAIN_SCHEMA)
+    assert config["output_dir"] == str(tmp_path / name)

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from fourierqml import analysis, spectra, trainer
@@ -27,6 +28,21 @@ def quantum_train_config(out_dir, **overrides):
         "n_layers": 1,
         "target": {"kind": "random_fourier", "kappa": 9, "split": 6, "r": 1.0,
                    "target_seed": 3},
+        "n_points": 20,
+        "steps": 5,
+    }
+    doc.update(overrides)
+    return doc
+
+
+def classical_train_config(out_dir, **overrides):
+    doc = {
+        "version": "train-v1",
+        "seed": 0,
+        "output_dir": str(out_dir),
+        "family": "classical",
+        "degree": 3,
+        "target": {"kind": "step"},
         "n_points": 20,
         "steps": 5,
     }
@@ -194,6 +210,41 @@ class TestTrainCommand:
         assert sorted(p.name for p in out.iterdir()) == ["config.json", "run.log"]
         assert "train diverged: non-finite gradient" in (out / "run.log").read_text()
 
+    def test_overflow_on_the_last_step_is_a_divergence(self, tmp_path):
+        # the second update overflows the parameters; before the final
+        # evaluation could see them the fit ends as a divergence (exit 3)
+        out = tmp_path / "run"
+        config = write_config(tmp_path, quantum_train_config(
+            out, n_qubits=3, target={"kind": "step"}, n_points=40, steps=2,
+            learning_rate=1.7e308))
+        with np.errstate(over="ignore"):
+            assert main(["train", "--config", config]) == 3
+        result = json.loads((out / "result.json").read_text())
+        assert result["config"]["aborted"] == "divergence"
+        assert len((out / "trace.csv").read_text().strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("make_doc,field", [
+        (lambda out: classical_train_config(out, n_qubits=2), "n_qubits"),
+        (lambda out: classical_train_config(out, encoding="naive"), "encoding"),
+        (lambda out: classical_train_config(out, n_layers=1), "n_layers"),
+        (lambda out: classical_train_config(out, rotation_params=3), "rotation_params"),
+        (lambda out: quantum_train_config(out, degree=3), "degree"),
+        (lambda out: quantum_train_config(out, dimension=3), "dimension"),
+        (lambda out: quantum_train_config(out, target={"kind": "step", "kappa": 9}), "kappa"),
+        (lambda out: quantum_train_config(out, target={"kind": "step", "values": [0.0]}),
+         "values"),
+        (lambda out: quantum_train_config(
+            out, target={"kind": "coefficients", "values": [0.0], "r": 1.0}), "r"),
+    ], ids=["classical-n_qubits", "classical-encoding", "classical-n_layers",
+            "classical-rotation_params", "quantum-degree", "quantum-dimension",
+            "step-kappa", "step-values", "coefficients-r"])
+    def test_field_that_does_not_apply_rejected(self, tmp_path, capsys, make_doc, field):
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, make_doc(out))]) == 2
+        assert f"unknown field: Additional properties are not allowed ('{field}' was" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         doc = quantum_train_config(tmp_path / "run", typo_field=1)
         assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
@@ -213,7 +264,7 @@ class TestTrainCommand:
             tmp_path / "run", target={"kind": "random_fourier", "kappa": 9}
         )
         assert main(["train", "--config", write_config(tmp_path, doc)]) == 2
-        assert "needs" in capsys.readouterr().err
+        assert "missing field: 'split'" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

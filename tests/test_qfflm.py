@@ -2,6 +2,8 @@
 matrix-product oracles, parameter-shift exactness, band-limited Fourier
 structure, and serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -716,6 +718,30 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(ONE_QUBIT, np.zeros(4), [np.nan])
 
+    @pytest.mark.parametrize("spec,rows,engine", [
+        (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(4)), 200, True),
+        (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(4)), 3, False),
+        (AnsatzSpec(n_variables=4, n_qubits=4, n_layers=1, topology=Ring(reuploads=1),
+                    encoding=EncodingSpec(weights=(1,))), 5, False),
+    ], ids=["diagonal-engine", "adjoint", "ring"])
+    @pytest.mark.parametrize("bad", ["theta", "x"])
+    def test_non_finite_inputs_rejected_by_every_jacobian(self, spec, rows, engine, bad):
+        """A NaN angle or an infinite input is refused before any gate or
+        phase is computed, on whichever path the rule picks."""
+        assert qfflm._diagonal_fits(spec, rows) == engine
+        theta = init_parameters(spec, make_rng(9))
+        xs = make_rng(10).uniform(-np.pi, np.pi, size=(rows, spec.n_variables))
+        if bad == "theta":
+            theta[0] = np.nan
+        else:
+            xs[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{bad} entries must be finite"):
+                values_and_jacobian(spec, theta, xs)
+
     def test_batch_matches_single(self):
         spec = sample_specs()[0]
         theta = init_parameters(spec, make_rng(4))
@@ -998,6 +1024,18 @@ class TestSerialization:
         doc = json.loads(ansatz_to_json(ONE_QUBIT))
         del doc["n_layers"]
         with pytest.raises(ValueError, match="missing"):
+            ansatz_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("topology,message", [
+        ({"kind": "serial"}, "missing field: 'reuploads'"),
+        ({"kind": "parallel", "reuploads": 2}, "'reuploads' was unexpected"),
+    ], ids=["serial-without-reuploads", "parallel-with-reuploads"])
+    def test_topology_error_names_the_field(self, topology, message):
+        import json
+
+        doc = json.loads(ansatz_to_json(ONE_QUBIT))
+        doc["topology"] = topology
+        with pytest.raises(ValueError, match=message):
             ansatz_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("name,value", [

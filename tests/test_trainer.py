@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fourierqml import qfflm, trainer
+from fourierqml import cli, qfflm, trainer
 from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
@@ -315,6 +315,23 @@ class TestQuantumTraining(SharedLoopChecks):
     def predict(self, params, inputs):
         return evaluate_batch(TWO_QUBIT, params, inputs)
 
+    @pytest.mark.parametrize("steps", [10, 2], ids=["mid-run", "last-step"])
+    def test_overflowing_update_aborts_with_partial_record(self, steps):
+        """At a learning rate near the float maximum the second Adam update
+        overflows.  The fit ends there as a divergence carrying the two
+        finite losses, also when that update is the last one."""
+        spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1, topology=Parallel(),
+                          encoding=exponential_weights(3))
+        cfg = TrainConfig(learning_rate=1.7e308, steps=steps, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match="non-finite parameters after 2 steps") as excinfo:
+            train(spec, make_step_dataset(40), cfg)
+        record = excinfo.value.record
+        assert record.config["aborted"] == "divergence"
+        assert len(record.loss_trace) == 2
+        assert np.isfinite(record.loss_trace).all()
+        assert not np.isfinite(record.final_params).all()
+
     def test_zero_target_first_steps_decrease(self):
         """With target 0 the loss is <f^2>; early Adam steps should shrink
         it from almost any starting point."""
@@ -430,29 +447,36 @@ class TestQuantumTraining(SharedLoopChecks):
 
 
 class TestResultRecord:
-    def _record(self):
+    """A record as the CLI writes it: ``result.json`` and ``trace.csv``."""
+
+    def _files(self):
         data = make_step_dataset(6)
-        return train(TWO_QUBIT, data, TrainConfig(steps=2, seed=0),
-                     test_data=make_step_dataset(4))
+        record = train(TWO_QUBIT, data, TrainConfig(steps=2, seed=0),
+                       test_data=make_step_dataset(4))
+        return record, cli._train_files(record)
 
     def test_json_round_trip(self):
-        record = self._record()
-        doc = json.loads(record.to_json())
+        record, files = self._files()
+        doc = json.loads(files["result.json"])
         assert doc["seed"] == 0
-        assert len(doc["loss_trace"]) == 3
-        assert doc["loss_trace"][-1] == record.final_loss
+        assert doc["loss_trace"] == record.loss_trace.tolist()
+        assert doc["test_loss_trace"] == record.test_loss_trace.tolist()
+        assert doc["final_params"] == record.final_params.tolist()
+        assert doc["recovered_coefficients"] is None
         assert doc["resource_counters"]["gate_count_per_circuit"] == 12
+        assert "wall_ms" not in doc
 
     def test_trace_csv_round_trip(self):
-        record = self._record()
-        lines = record.trace_csv().strip().split("\n")
+        record, files = self._files()
+        lines = files["trace.csv"].strip().split("\n")
         assert lines[0] == "step,train_loss,test_loss"
         assert len(lines) == len(record.loss_trace) + 1
-        step, train_loss, test_loss = lines[-1].split(",")
-        assert int(step) == 2
-        # 17 significant digits round-trip exactly
-        assert float(train_loss) == record.loss_trace[2]
-        assert float(test_loss) == record.test_loss_trace[2]
+        for step, line in enumerate(lines[1:]):
+            index, train_loss, test_loss = line.split(",")
+            assert int(index) == step
+            # 17 significant digits round-trip exactly
+            assert float(train_loss) == record.loss_trace[step]
+            assert float(test_loss) == record.test_loss_trace[step]
 
 
 class TestCoulombFeatures:
