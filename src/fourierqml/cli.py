@@ -16,7 +16,9 @@ Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
 times go to the ``run.log`` sidecar only.  Only this module turns results
 into text, every JSON file through ``_json`` and every CSV file through
-``_csv``.
+``_csv``.  The non-finite floats a diverged run can hold are written as
+the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"`` in JSON, which
+has no number for them, and as ``nan``/``inf`` in CSV.
 
 Exit codes: 0 success, 2 usage or config error (a value the library
 rejects included), 3 divergence during training (a diverged ``train``
@@ -31,6 +33,7 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -46,6 +49,7 @@ from .errors import (
     closed_schema,
     load_document,
     tagged_union,
+    union_variants,
 )
 from .qfflm import AnsatzSpec, Parallel
 from .rng import make_rng
@@ -195,9 +199,23 @@ def _library_fields(config: dict) -> dict:
     return {k: v for k, v in config.items() if k not in ("version", "seed", "output_dir")}
 
 
+def _plain(value):
+    """``value`` with numpy arrays as lists and every non-finite float, for
+    which JSON has no number, as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, np.ndarray):
+        return value.tolist() if np.isfinite(value).all() else _plain(value.tolist())
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return value
+
+
 def _json(doc) -> str:
-    """JSON text of ``doc``, numpy arrays written as lists."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    """Strict JSON text of ``doc`` (see ``_plain``)."""
+    return json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv(header: list[str], rows) -> str:
@@ -453,12 +471,21 @@ def _describe_field(schema: dict) -> str:
 
 
 def _schema_epilog(schema: dict) -> str:
-    """Render every config field for the subcommand's ``--help``."""
+    """Render every config field for the subcommand's ``--help``, with the
+    tag values a field belongs to when a tagged union limits it, and one
+    line per variant of a tagged-union object field."""
     required = set(schema["required"])
+    variants = union_variants(schema)
     lines = ["config fields (* = required, unknown fields rejected):"]
     for name, field_schema in schema["properties"].items():
         marker = "*" if name in required else " "
-        lines.append(f"  {marker} {name:<21} {_describe_field(field_schema)}")
+        scope = [value for _, value, variant in variants if name in variant["properties"]]
+        only = f" ({', '.join(scope)} only)" if len(scope) < len(variants) else ""
+        lines.append(f"  {marker} {name:<21} {_describe_field(field_schema)}{only}")
+        for tag, value, variant in union_variants(field_schema):
+            inner = ", ".join(("*" if key in variant["required"] else "") + key
+                              for key in variant["properties"] if key != tag)
+            lines.append(f"{'':<28}{tag} {json.dumps(value)}: {inner or 'no other field'}")
     return "\n".join(lines)
 
 

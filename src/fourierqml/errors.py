@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and its one JSON input check."""
+"""Exception types shared across the package, and its one JSON input check.
 
+jsonschema is imported by the first ``load_document`` call, not by
+``import fourierqml``: runs that read no JSON document never load it.
+"""
+
+import functools
 import json
-
-import jsonschema
 
 
 class CapacityError(RuntimeError):
@@ -40,12 +43,20 @@ def _is_integer(checker, instance) -> bool:
     return isinstance(instance, int) and not isinstance(instance, bool)
 
 
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", _is_integer
-    ),
-)
+@functools.cache
+def _jsonschema():
+    """The Draft 2020-12 validator class with the strict ``integer`` check,
+    and jsonschema's ``best_match``; imported and built on first use."""
+    import jsonschema
+
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", _is_integer
+        ),
+    )
+    return validator, jsonschema.exceptions.best_match
+
 
 _PREFIX = {"additionalProperties": "unknown field: ", "required": "missing field: "}
 
@@ -68,6 +79,14 @@ def tagged_union(tag: str, variants: dict) -> dict:
                        "then": schema} for value, schema in variants.items()]}
 
 
+def union_variants(schema: dict) -> list[tuple[str, object, dict]]:
+    """``(tag, value, variant)`` for each branch a ``tagged_union`` put in
+    ``schema``; empty when it has none."""
+    return [(tag, cond["const"], branch["then"])
+            for branch in schema.get("allOf", [])
+            for tag, cond in branch["if"]["properties"].items()]
+
+
 def load_document(text: str, schema: dict, what: str):
     """Parse ``text`` as JSON and validate it against ``schema``.
 
@@ -83,7 +102,8 @@ def load_document(text: str, schema: dict, what: str):
         doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
-    error = jsonschema.exceptions.best_match(_Validator(schema).iter_errors(doc))
+    validator, best_match = _jsonschema()
+    error = best_match(validator(schema).iter_errors(doc))
     if error is not None:
         location = "/".join(str(p) for p in error.absolute_path) or "<top level>"
         message = _PREFIX.get(error.validator, "") + error.message

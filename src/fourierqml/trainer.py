@@ -291,7 +291,10 @@ def adam_step(state: AdamState, grads, lr: float) -> AdamState:
     state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
     m_hat = state.m / (1.0 - _BETA1**t)
     v_hat = state.v / (1.0 - _BETA2**t)
-    state.params = state.params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+    # an overflowing update gives non-finite parameters, which ``_fit``
+    # refuses as a divergence right after this step
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.params = state.params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return state
 
 

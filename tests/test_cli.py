@@ -3,13 +3,18 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fourierqml import analysis, spectra, trainer
 from fourierqml.cli import _CONFIG_COMMANDS, main
-from fourierqml.errors import TrainingError
+from fourierqml.errors import TrainingError, load_document
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -212,16 +217,21 @@ class TestTrainCommand:
 
     def test_overflow_on_the_last_step_is_a_divergence(self, tmp_path):
         # the second update overflows the parameters; before the final
-        # evaluation could see them the fit ends as a divergence (exit 3)
+        # evaluation could see them the fit ends as a divergence (exit 3),
+        # without a numpy warning, and its result.json is strict JSON
         out = tmp_path / "run"
         config = write_config(tmp_path, quantum_train_config(
             out, n_qubits=3, target={"kind": "step"}, n_points=40, steps=2,
             learning_rate=1.7e308))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["train", "--config", config]) == 3
-        result = json.loads((out / "result.json").read_text())
+        result = json.loads((out / "result.json").read_text(), parse_constant=reject_constant)
         assert result["config"]["aborted"] == "divergence"
+        assert {"Infinity", "-Infinity", "NaN"} & set(map(str, result["final_params"]))
         assert len((out / "trace.csv").read_text().strip().split("\n")) == 3
+        # the package's own strict reader accepts it
+        assert load_document((out / "result.json").read_text(), {}, "result") == result
 
     @pytest.mark.parametrize("make_doc,field", [
         (lambda out: classical_train_config(out, n_qubits=2), "n_qubits"),
@@ -435,6 +445,27 @@ class TestNonFiniteConstants:
         assert "NaN" in capsys.readouterr().err
 
 
+class TestJsonText:
+    """``cli._json`` writes strict JSON: non-finite floats become strings."""
+
+    def test_non_finite_floats_are_strings(self):
+        from fourierqml.cli import _json
+
+        doc = {"loss": float("nan"), "params": np.array([1.5, np.inf, -np.inf]),
+               "nested": [[np.float64(-np.inf)], (2, np.nan)], "grid": np.array([[np.nan]])}
+        assert json.loads(_json(doc), parse_constant=reject_constant) == {
+            "loss": "NaN", "params": [1.5, "Infinity", "-Infinity"],
+            "nested": [["-Infinity"], [2, "NaN"]], "grid": [["NaN"]]}
+
+    def test_finite_documents_keep_their_bytes(self):
+        from fourierqml.cli import _json
+
+        doc = {"b": np.array([0.1, 1e-300, -2.5e17]), "a": [1, 2.0, True, None, "x"],
+               "c": {"m": np.arange(3), "f": np.float64(1) / 3}}
+        assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                        default=np.ndarray.tolist) + "\n"
+
+
 class TestHelpText:
     """Subcommand --help must document every config field by name."""
 
@@ -450,6 +481,34 @@ class TestHelpText:
         schema, _ = _CONFIG_COMMANDS[command]
         for field_name in schema["properties"]:
             assert field_name in text
+
+    def test_train_help_scopes_fields_by_family_and_target_kind(self, capsys):
+        from fourierqml.cli import _FAMILY_ONLY
+
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        out = capsys.readouterr().out
+        lines = out[out.index("config fields"):].splitlines()[1:]
+        # a field line is "  * name ..." or "    name ..."; the name starts at column 4
+        fields = {line[4:].split()[0]: line for line in lines if line[4] != " "}
+        for family, names in _FAMILY_ONLY.items():
+            for name in names:
+                assert fields[name].endswith(f"({family} only)")
+        for name in ("family", "target", "steps", "shots"):
+            assert not fields[name].endswith("only)")
+        kind_lines = [ln.strip() for ln in lines if ln.strip().startswith("kind ")]
+        assert kind_lines == [
+            'kind "step": no other field',
+            'kind "random_fourier": *kappa, *split, *r, *target_seed',
+            'kind "coefficients": *values',
+        ]
+
+    @pytest.mark.parametrize("command", ["compare", "plateau", "resources", "bicone"])
+    def test_untagged_help_has_no_scope_notes(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert "only)" not in text and "kind " not in text
 
 
 def compare_config(out_dir, **overrides):

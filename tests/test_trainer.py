@@ -1,6 +1,7 @@
 """Datasets, optimizer mechanics, and end-to-end training behavior."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -319,12 +320,14 @@ class TestQuantumTraining(SharedLoopChecks):
     def test_overflowing_update_aborts_with_partial_record(self, steps):
         """At a learning rate near the float maximum the second Adam update
         overflows.  The fit ends there as a divergence carrying the two
-        finite losses, also when that update is the last one."""
+        finite losses, also when that update is the last one, and numpy
+        emits no overflow warning on the way."""
         spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1, topology=Parallel(),
                           encoding=exponential_weights(3))
         cfg = TrainConfig(learning_rate=1.7e308, steps=steps, seed=0)
-        with np.errstate(over="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
                 TrainingError, match="non-finite parameters after 2 steps") as excinfo:
+            warnings.simplefilter("error")
             train(spec, make_step_dataset(40), cfg)
         record = excinfo.value.record
         assert record.config["aborted"] == "divergence"
