@@ -25,14 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import statevector
 from .cfflm import FeatureMap, feature_matrix
 from .errors import CapacityError
-from .qfflm import AnsatzSpec, Parallel, apply_opening, count_gates, param_count
+from .qfflm import AnsatzSpec, Parallel, apply_opening, param_count
 from .spectra import exponential_weights
-from .statevector import apply_ry, expectation_z, haar_unitary
+from .statevector import haar_unitary
 
 __all__ = [
-    "count_gates",
     "resrc_classical",
     "resrc_classical_fully_parametrized",
     "resrc_quantum",
@@ -320,7 +320,7 @@ def plateau_stats(
     def shifted(states: np.ndarray) -> np.ndarray:
         # (b, 1, d) -> (b, 3, d): each state and its two RY(+-pi/2) shifts
         return np.concatenate(
-            [states] + [apply_ry(states.copy(), total, shifted_qubit, angle)
+            [states] + [statevector.apply_ry(states.copy(), total, shifted_qubit, angle)
                         for angle in (math.pi / 2.0, -math.pi / 2.0)], axis=-2)
 
     if mode == "haar":
@@ -361,7 +361,7 @@ def plateau_stats(
     # the largest array of a batch holds its 3 rows of d amplitudes per trial
     batch = max(1, min(1024, (1 << 21) // (3 * d)))
     z = np.concatenate(
-        [expectation_z(sample(min(batch, trials - start)), total, total)
+        [statevector.expectation_z(sample(min(batch, trials - start)), total, total)
          for start in range(0, trials, batch)]
     )
     f, grad = z[:, 0], 0.5 * (z[:, 1] - z[:, 2])

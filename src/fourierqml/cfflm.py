@@ -19,34 +19,24 @@ the top principal components of the feature second-moment matrix.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from math import ceil, log, prod
 
 import numpy as np
 
-from .errors import CapacityError, closed_schema, load_document
+from .errors import CapacityError
 
 __all__ = [
     "FeatureMap",
     "ClassicalModel",
     "RandomProjection",
     "PcaProjection",
-    "feature_map",
     "feature_matrix",
-    "evaluate_classical",
-    "evaluate_classical_batch",
-    "gradient_classical",
     "leading_feature_projection",
     "random_projection",
     "pca_projection",
-    "model_to_json",
-    "model_from_json",
 ]
-
-MODEL_FORMAT_VERSION = "cfflm-v1"
-FEATURE_ORDERING = "constant,cos,sin interleaved per variable; variables row-major"
 
 _MAX_DIMENSION = 10_000_000
 
@@ -111,14 +101,6 @@ def feature_matrix(xs, fm: FeatureMap) -> np.ndarray:
     return out
 
 
-def feature_map(x, fm: FeatureMap) -> np.ndarray:
-    """Feature column phi(x) for a single input point."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape != (fm.n_variables,):
-        raise ValueError(f"x must have length {fm.n_variables}, got shape {x.shape}")
-    return feature_matrix(x[None, :], fm)[0]
-
-
 @dataclass
 class ClassicalModel:
     """Linear model ``c . phi(x)``, optionally through a projection.
@@ -151,41 +133,6 @@ class ClassicalModel:
     @property
     def n_parameters(self) -> int:
         return self.coefficients.shape[0]
-
-
-def _check_feature_dim(model: ClassicalModel, fm: FeatureMap) -> None:
-    expected = fm.dimension
-    have = model.projection.shape[1] if model.projection is not None else model.n_parameters
-    if have != expected:
-        raise ValueError(f"model expects {have}-dimensional features, map gives {expected}")
-
-
-def evaluate_classical_batch(model: ClassicalModel, xs, fm: FeatureMap) -> np.ndarray:
-    _check_feature_dim(model, fm)
-    phi = feature_matrix(xs, fm)
-    if model.projection is not None:
-        phi = phi @ model.projection.T
-    return phi @ model.coefficients
-
-
-def evaluate_classical(model: ClassicalModel, x, fm: FeatureMap) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(evaluate_classical_batch(model, x[None, :], fm)[0])
-
-
-def gradient_classical(model: ClassicalModel, x, y: float, fm: FeatureMap) -> np.ndarray:
-    """Gradient of the half squared error ``(f_C(x) - y)^2 / 2``.
-
-    For the fully-parametrized model (``c = theta``) this is the residual
-    times the feature column; projected models see projected features.
-    """
-    _check_feature_dim(model, fm)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    phi = feature_matrix(x[None, :], fm)[0]
-    if model.projection is not None:
-        phi = model.projection @ phi
-    residual = float(phi @ model.coefficients) - float(y)
-    return residual * phi
 
 
 def leading_feature_projection(fm: FeatureMap, dimension: int) -> np.ndarray:
@@ -290,42 +237,3 @@ def pca_projection(features: np.ndarray, d_tilde: int) -> PcaProjection:
         eigenvalues=eigenvalues,
         reconstruction_error=reconstruction_error,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def model_to_json(model: ClassicalModel, fm: FeatureMap) -> str:
-    doc = {
-        "version": MODEL_FORMAT_VERSION,
-        "ordering": FEATURE_ORDERING,
-        "n_variables": fm.n_variables,
-        "degrees": list(fm.degrees),
-        "coefficients": model.coefficients.tolist(),
-        "projection": None if model.projection is None else model.projection.tolist(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-_NUMBERS = {"type": "array", "items": {"type": "number"}}
-_MODEL_SCHEMA = closed_schema({
-    "version": {"const": MODEL_FORMAT_VERSION},
-    "ordering": {"const": FEATURE_ORDERING},
-    "n_variables": {"type": "integer"},
-    "degrees": {"type": "array", "items": {"type": "integer"}},
-    "coefficients": _NUMBERS,
-    "projection": {"oneOf": [{"type": "null"}, {"type": "array", "items": _NUMBERS}]},
-})
-
-
-def model_from_json(text: str) -> tuple[ClassicalModel, FeatureMap]:
-    doc = load_document(text, _MODEL_SCHEMA, "model document")
-    fm = FeatureMap(n_variables=doc["n_variables"], degrees=tuple(doc["degrees"]))
-    projection = doc["projection"]
-    model = ClassicalModel(
-        coefficients=np.asarray(doc["coefficients"], dtype=np.float64),
-        projection=None if projection is None else np.asarray(projection, dtype=np.float64),
-    )
-    _check_feature_dim(model, fm)
-    return model, fm

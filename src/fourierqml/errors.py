@@ -30,8 +30,7 @@ class TrainingError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A JSON document the package reads (a CLI run config, an ``ansatz-v1``
-    or ``cfflm-v1`` model) failed to parse or validate."""
+    """A CLI run config failed to parse or validate."""
 
 
 class DatasetParseError(ValueError):

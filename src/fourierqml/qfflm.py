@@ -72,7 +72,6 @@ the exact-gradient oracle (``gradient_parameter_shift``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import takewhile
@@ -80,7 +79,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, closed_schema, load_document, tagged_union
+from .errors import CapacityError
 from .spectra import EncodingSpec, FrequencySpectrum, spectrum
 from .statevector import (
     MAX_QUBITS,
@@ -103,16 +102,11 @@ __all__ = [
     "init_parameters",
     "evaluate",
     "evaluate_batch",
-    "evaluate_sampled",
     "gradient_parameter_shift",
     "values_and_jacobian",
     "fourier_coefficients",
     "coefficient_vector",
-    "ansatz_to_json",
-    "ansatz_from_json",
 ]
-
-ANSATZ_FORMAT_VERSION = "ansatz-v1"
 
 _MAX_GRID = 10_000_000
 # One complex multiply-add inside a matrix product costs about 1/20 of an
@@ -542,17 +536,6 @@ def evaluate_batch(spec: AnsatzSpec, theta, xs) -> np.ndarray:
     return expectation_z(amps, spec.total_qubits, spec.measured_qubit)[0]
 
 
-def evaluate_sampled(spec: AnsatzSpec, theta, x, shots: int, rng: np.random.Generator) -> float:
-    """Finite-shot estimate of ``evaluate``; unbiased, binomial shot noise."""
-    theta = _as_theta(spec, theta)
-    xs = _as_inputs(spec, x)
-    if xs.shape[0] != 1:
-        raise ValueError("evaluate_sampled takes a single input point")
-    amps = _run_batch(spec, theta[None, :], xs)
-    est = sample_expectation_z(amps, spec.total_qubits, spec.measured_qubit, shots, rng)
-    return float(est[0, 0])
-
-
 def values_and_jacobian(
     spec: AnsatzSpec,
     theta,
@@ -890,7 +873,7 @@ def coefficient_vector(fc: FourierCoefficients) -> np.ndarray:
     Requires a dense lattice (every integer frequency in ``[-d_F, d_F]``
     per variable); sparse-spectrum models keep their complex form.  The
     result ``c`` satisfies ``f(x) = c . phi(x)`` with the Kronecker
-    feature ordering of :func:`fourierqml.cfflm.feature_map`.
+    feature ordering of :func:`fourierqml.cfflm.feature_matrix`.
     """
     acc = fc.values
     for axis in range(fc.n_variables):
@@ -907,74 +890,3 @@ def coefficient_vector(fc: FourierCoefficients) -> np.ndarray:
     if imag > 1e-9:
         raise ValueError(f"coefficients are not real within tolerance (residue {imag:.3e})")
     return np.ascontiguousarray(acc.real).ravel()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def ansatz_to_json(spec: AnsatzSpec) -> str:
-    """Stable JSON form of an AnsatzSpec (format tag ``ansatz-v1``)."""
-    topo = spec.topology
-    if isinstance(topo, Parallel):
-        topo_doc = {"kind": "parallel"}
-    elif isinstance(topo, Serial):
-        topo_doc = {
-            "kind": "serial",
-            "reuploads": topo.reuploads,
-            "encoders_per_block": topo.encoders_per_block,
-        }
-    else:
-        topo_doc = {"kind": "ring", "reuploads": topo.reuploads}
-    if isinstance(spec.encoding, EncodingSpec):
-        enc_doc = list(spec.encoding.weights)
-    else:
-        enc_doc = [list(e.weights) for e in spec.encoding]
-    doc = {
-        "version": ANSATZ_FORMAT_VERSION,
-        "n_variables": spec.n_variables,
-        "n_qubits": spec.n_qubits,
-        "n_layers": spec.n_layers,
-        "topology": topo_doc,
-        "encoding": enc_doc,
-        "rotation_params": spec.rotation_params,
-        "measured_qubit": spec.measured_qubit,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-_INT = {"type": "integer"}
-_WEIGHTS = {"type": "array", "items": _INT}
-_ANSATZ_SCHEMA = closed_schema({
-    "version": {"const": ANSATZ_FORMAT_VERSION},
-    **dict.fromkeys(("n_variables", "n_qubits", "n_layers", "rotation_params", "measured_qubit"),
-                    _INT),
-    "topology": {
-        **closed_schema({"kind": {"enum": ["parallel", "serial", "ring"]}, "reuploads": _INT,
-                         "encoders_per_block": _INT}, ["kind"]),
-        **tagged_union("kind", {
-            "parallel": closed_schema({"kind": True}),
-            "serial": closed_schema(dict.fromkeys(("kind", "reuploads", "encoders_per_block"),
-                                                  True), ["kind", "reuploads"]),
-            "ring": closed_schema(dict.fromkeys(("kind", "reuploads"), True)),
-        }),
-    },
-    # one weight list, or one per variable
-    "encoding": {"oneOf": [_WEIGHTS, {"type": "array", "items": _WEIGHTS, "minItems": 1}]},
-})
-_TOPOLOGIES = {"parallel": Parallel, "serial": Serial, "ring": Ring}
-
-
-def ansatz_from_json(text: str) -> AnsatzSpec:
-    doc = load_document(text, _ANSATZ_SCHEMA, "ansatz document")
-    del doc["version"]
-    topo_doc = doc.pop("topology")
-    topology = _TOPOLOGIES[topo_doc.pop("kind")](**topo_doc)
-    enc_doc = doc.pop("encoding")
-    if enc_doc and isinstance(enc_doc[0], list):
-        encoding: EncodingSpec | tuple[EncodingSpec, ...] = tuple(
-            EncodingSpec(weights=tuple(w)) for w in enc_doc
-        )
-    else:
-        encoding = EncodingSpec(weights=tuple(enc_doc))
-    return AnsatzSpec(topology=topology, encoding=encoding, **doc)

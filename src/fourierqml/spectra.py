@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import log10, prod
 
 import numpy as np
 
@@ -32,19 +31,13 @@ from .errors import CapacityError
 __all__ = [
     "EncodingSpec",
     "FrequencySpectrum",
-    "ProductSpectrum",
     "exponential_weights",
     "naive_weights",
     "spectrum",
-    "is_maximally_nondegenerate",
-    "is_dense",
-    "product_spectrum",
-    "chebyshev_reencode",
 ]
 
 # exact integer bookkeeping is kept within 63 bits
 _SUM_CAP = 1 << 62
-_LATTICE_CAP = 1_000_000
 # 3^13 dictionary entries bound a spectrum
 _MAX_EXACT_ROTATIONS = 13
 
@@ -149,86 +142,3 @@ def spectrum(enc: EncodingSpec) -> FrequencySpectrum:
     support = np.array(sorted(counts), dtype=np.int64)
     multiplicity = np.array([counts[int(v)] for v in support], dtype=np.int64)
     return FrequencySpectrum(support=support, multiplicity=multiplicity)
-
-
-def is_maximally_nondegenerate(enc: EncodingSpec) -> bool:
-    """True iff all 3^N sign combinations produce distinct frequencies.
-
-    The sorted-prefix inequality ``2 * sum_{j<k} beta_j < beta_k`` (each
-    new weight out-ranges the whole span reachable with the previous
-    ones) guarantees distinctness and is checked first.  It is only
-    sufficient, not necessary -- (2, 3) violates it yet has all nine sums
-    distinct -- so when it fails the spectrum decides, and raises
-    ``CapacityError`` where ``spectrum`` does.
-    """
-    ordered = sorted(enc.weights)
-    partial = ordered[0]
-    for beta in ordered[1:]:
-        if 2 * partial >= beta:
-            return spectrum(enc).is_nondegenerate
-        partial += beta
-    return True
-
-
-def is_dense(enc: EncodingSpec) -> bool:
-    """True iff the support covers every integer in [-sum(beta), sum(beta)]."""
-    return spectrum(enc).is_dense
-
-
-@dataclass(frozen=True)
-class ProductSpectrum:
-    """Product lattice of per-variable spectra.
-
-    ``size`` is the exact number of distinct lattice points (a Python int,
-    which may be astronomically large); ``log10_size`` is always finite.
-    ``lattice`` holds the materialized points of shape ``(size, M)`` only
-    when ``size`` is at most one million, else ``None``.
-    """
-
-    per_variable: tuple[FrequencySpectrum, ...]
-    size: int
-    log10_size: float
-    lattice: np.ndarray | None
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.per_variable)
-
-
-def product_spectrum(specs: EncodingSpec | list[EncodingSpec] | tuple[EncodingSpec, ...],
-                     n_variables: int) -> ProductSpectrum:
-    """Spectrum of an M-variable model as the product of per-variable sets.
-
-    ``specs`` may be a single EncodingSpec shared by every variable or a
-    sequence of length ``n_variables``.
-    """
-    if n_variables < 1:
-        raise ValueError(f"n_variables must be >= 1, got {n_variables}")
-    if isinstance(specs, EncodingSpec):
-        specs = [specs] * n_variables
-    if len(specs) != n_variables:
-        raise ValueError(f"expected {n_variables} encoding specs, got {len(specs)}")
-    per_variable = tuple(spectrum(enc) for enc in specs)
-    counts = [s.distinct_count for s in per_variable]
-    size = prod(counts)
-    log10_size = float(sum(log10(c) for c in counts))
-    lattice = None
-    if size <= _LATTICE_CAP:
-        grids = np.meshgrid(*[s.support for s in per_variable], indexing="ij")
-        lattice = np.stack([g.ravel() for g in grids], axis=-1)
-    return ProductSpectrum(
-        per_variable=per_variable, size=size, log10_size=log10_size, lattice=lattice
-    )
-
-
-def chebyshev_reencode(x) -> np.ndarray | float:
-    """Map ``x in [-1, 1]`` to ``arccos(x)``.
-
-    Models of the re-encoded variable are polynomial (Chebyshev) in the
-    original one; out-of-domain inputs raise ``ValueError``.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
-        raise ValueError("chebyshev_reencode requires inputs in [-1, 1]")
-    out = np.arccos(arr)
-    return float(out) if np.ndim(x) == 0 else out

@@ -69,7 +69,6 @@ __all__ = [
     "mse_loss",
     "adam_step",
     "train",
-    "coulomb_features",
     "load_csv_dataset",
     "denormalize_outputs",
     "run_expressivity_comparison",
@@ -494,6 +493,10 @@ def _train_classical(
     model: ClassicalModel, data: Dataset, cfg: TrainConfig, fm: FeatureMap, test_data
 ) -> ResultRecord:
     started = time.perf_counter()
+    projection = model.projection
+    width = model.n_parameters if projection is None else projection.shape[1]
+    if width != fm.dimension:
+        raise ValueError(f"model expects {width}-dimensional features, map gives {fm.dimension}")
     if data.inputs.shape[1] != fm.n_variables:
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, feature map expects {fm.n_variables}"
@@ -502,7 +505,6 @@ def _train_classical(
         raise ValueError("shots applies to quantum models only; a classical fit is exact")
     if cfg.recover_coefficients:
         _nyquist_check(data.inputs, fm.degrees, cfg.allow_sub_nyquist)
-    projection = model.projection
 
     def features(dataset: Dataset) -> np.ndarray:
         phi = feature_matrix(dataset.inputs, fm)
@@ -539,33 +541,8 @@ def _train_classical(
 
 
 # ---------------------------------------------------------------------------
-# feature engineering and file-backed datasets
+# file-backed datasets
 # ---------------------------------------------------------------------------
-
-def coulomb_features(positions, charges) -> np.ndarray:
-    """Pairwise Coulomb terms ``Z_i Z_j / |r_i - r_j|``, i < j.
-
-    Order is lexicographic over pairs: (1,2), (1,3), ..., (1,n), (2,3),
-    and so on; 9 atoms give the 36 features of a molecular model.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    charges = np.asarray(charges, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError(f"positions must be (n, 3), got {positions.shape}")
-    n = positions.shape[0]
-    if charges.shape != (n,):
-        raise ValueError(f"need {n} charges, got shape {charges.shape}")
-    if n < 2:
-        raise ValueError("need at least two atoms")
-    out = []
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            distance = float(np.linalg.norm(positions[j1] - positions[j2]))
-            if distance < 1e-12:
-                raise ValueError(f"atoms {j1 + 1} and {j2 + 1} are coincident")
-            out.append(charges[j1] * charges[j2] / distance)
-    return np.asarray(out)
-
 
 _CSV_INPUT_RANGE = (-np.pi, np.pi)
 _CSV_OUTPUT_RANGE = (0.03, 1.0)

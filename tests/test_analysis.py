@@ -9,7 +9,6 @@ from fourierqml import cli
 from fourierqml.analysis import (
     advantage_criterion,
     bicone_contains,
-    count_gates,
     empirical_epsilon,
     fit_decay,
     numerical_membership,
@@ -23,7 +22,7 @@ from fourierqml.analysis import (
 )
 from fourierqml.cfflm import FeatureMap
 from fourierqml.errors import CapacityError
-from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, param_count
+from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, count_gates, param_count
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights
 from fourierqml.statevector import haar_unitary

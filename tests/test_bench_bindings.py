@@ -47,14 +47,21 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
                   feature_map=fm)
     for mode in ("haar", "circuit"):
         for case in ("I", "II", "III"):
-            plateau_calls = tracer.calls["analysis.plateau_stats"]
-            haar_calls = tracer.calls["statevector.haar_unitary"]
+            before = dict(tracer.calls)
             analysis.plateau_stats(1, 2, 100, make_rng(0), mode=mode, grad_case=case)
-            assert tracer.calls["analysis.plateau_stats"] == plateau_calls + 1
+            added = {span: tracer.calls[span] - before.get(span, 0) for span in spans}
+            assert added["analysis.plateau_stats"] == 1
             # 100 trials are one batch: one isometry, and a Haar state first
             # in the bulk case
             draws = (2 if case == "I" else 1) if mode == "haar" else 0
-            assert tracer.calls["statevector.haar_unitary"] == haar_calls + draws, (mode, case)
+            assert added["statevector.haar_unitary"] == draws, (mode, case)
+            # one readout of the batch, through the traced kernel binding
+            assert added["statevector.expectation_z"] == 1, (mode, case)
+            if mode == "haar":
+                # the two RY(+-pi/2) shifts, except in case II, whose
+                # shifted rows of |0> are a fixed 3 x 2 matrix
+                shifts = 0 if case == "II" else 2
+                assert added["statevector.apply_ry"] == shifts, case
     assert cli.main(["spectrum", "--exp", "2", "--output", str(tmp_path / "s.json")]) == 0
     for span in ("trainer.train_q", "trainer.train_c", "trainer.adam_step",
                  "qfflm.values_and_jacobian", "statevector.haar_unitary"):

@@ -3,9 +3,13 @@
 ``_summary`` counts, per end-to-end metric, the pairs in which the change
 reads strictly better than its parent; the nine-in-ten gain rule reads
 that count.  ``_parse`` refuses plans too small to show nine in ten.
+``_run`` keeps each run's detail line, whose per-operation walls show a
+cost that moves between set-up and the first operation.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,26 @@ def test_parse_refuses_fewer_than_ten_pairs(item, capsys):
         bench_pairs._parse(["--label", "x", "--pairs", item, "--seed", "3"])
     assert excinfo.value.code == 2
     assert "N >= 10" in capsys.readouterr().err
+
+
+def test_run_keeps_the_detail_line(monkeypatch, tmp_path):
+    machine = {"nproc": 2}
+    detail = {"workload": "fit-q4", "ops": 2, "setup_samples_s": [0.2, 0.21],
+              "op_walls_s": [0.08, 0.07]}
+    result = {"correct": True, "attempted": 2, "failed": 0,
+              "metrics": {"op_s": {"value": 0.075, "unit": "s"}}}
+    stdout = "\n".join(["warming up", json.dumps({"machine": machine, "detail": detail}),
+                        json.dumps(result)]) + "\n"
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append((command, kwargs["cwd"]))
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run, record = bench_pairs._run(tmp_path, "fit-q4", 3, 25.0)
+    assert run == dict(result, detail=detail)
+    assert record == machine
+    assert [(command[1:], cwd) for command, cwd in calls] == [(
+        ["perfbench/run.py", "--workload", "fit-q4", "--seed", "3", "--seconds", "25.0",
+         "--trace", "0"], tmp_path)]

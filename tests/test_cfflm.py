@@ -1,5 +1,5 @@
-"""Classical model tests: feature-map conventions, gradients against
-finite differences, and the two projection schemes."""
+"""Classical model tests: feature-map conventions, model values as
+feature rows times coefficients, and the two projection schemes."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,8 @@ import pytest
 from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
-    evaluate_classical,
-    evaluate_classical_batch,
-    feature_map,
     feature_matrix,
-    gradient_classical,
     leading_feature_projection,
-    model_from_json,
-    model_to_json,
     pca_projection,
     random_projection,
 )
@@ -25,12 +19,13 @@ from fourierqml.rng import make_rng
 class TestFeatureMap:
     def test_degree_one_at_zero(self):
         fm = FeatureMap(n_variables=1, degrees=(1,))
-        np.testing.assert_allclose(feature_map([0.0], fm), [1.0, np.sqrt(2), 0.0], atol=1e-15)
+        np.testing.assert_allclose(feature_matrix([[0.0]], fm), [[1.0, np.sqrt(2), 0.0]],
+                                   atol=1e-15)
 
     def test_degree_one_at_half_pi(self):
         fm = FeatureMap(n_variables=1, degrees=(1,))
         np.testing.assert_allclose(
-            feature_map([np.pi / 2], fm), [1.0, 0.0, np.sqrt(2)], atol=1e-15
+            feature_matrix([[np.pi / 2]], fm), [[1.0, 0.0, np.sqrt(2)]], atol=1e-15
         )
 
     def test_norm_is_dimension(self):
@@ -43,12 +38,10 @@ class TestFeatureMap:
         fm2 = FeatureMap(n_variables=2, degrees=(2, 3))
         f1 = FeatureMap(n_variables=1, degrees=(2,))
         f2 = FeatureMap(n_variables=1, degrees=(3,))
-        x = np.array([0.3, -1.2])
-        np.testing.assert_allclose(
-            feature_map(x, fm2),
-            np.kron(feature_map(x[:1], f1), feature_map(x[1:], f2)),
-            atol=1e-12,
-        )
+        xs = make_rng(0).uniform(-np.pi, np.pi, size=(5, 2))
+        expected = [np.kron(a, b) for a, b in
+                    zip(feature_matrix(xs[:, :1], f1), feature_matrix(xs[:, 1:], f2))]
+        np.testing.assert_allclose(feature_matrix(xs, fm2), expected, atol=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
@@ -61,93 +54,48 @@ class TestFeatureMap:
 
 
 class TestEvaluate:
+    """A model's values are its feature rows times its coefficients."""
+
     def test_constant_component(self):
         fm = FeatureMap(n_variables=1, degrees=(2,))
-        model = ClassicalModel(coefficients=np.eye(5)[0])
-        for x in (-1.0, 0.0, 2.5):
-            assert evaluate_classical(model, [x], fm) == pytest.approx(1.0, abs=1e-12)
+        values = feature_matrix([[-1.0], [0.0], [2.5]], fm) @ np.eye(5)[0]
+        np.testing.assert_allclose(values, 1.0, atol=1e-12)
 
     def test_cosine_component(self):
         fm = FeatureMap(n_variables=1, degrees=(1,))
         c = np.zeros(3)
         c[1] = 1 / np.sqrt(2)
-        model = ClassicalModel(coefficients=c)
-        assert evaluate_classical(model, [0.0], fm) == pytest.approx(1.0, abs=1e-12)
+        assert (feature_matrix([[0.0]], fm) @ c)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_naive_sum(self):
+        """Feature k of two variables is the product of each variable's
+        (constant, cos, sin) features, variable 1 major."""
         fm = FeatureMap(n_variables=2, degrees=(1, 2))
         rng = make_rng(2)
         c = rng.standard_normal(fm.dimension)
-        model = ClassicalModel(coefficients=c)
-        for _ in range(20):
-            x = rng.uniform(-np.pi, np.pi, size=2)
-            phi = feature_map(x, fm)
-            naive = sum(ci * pi for ci, pi in zip(c, phi))
-            assert evaluate_classical(model, x, fm) == pytest.approx(naive, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        fm = FeatureMap(n_variables=1, degrees=(2,))
-        with pytest.raises(ValueError):
-            evaluate_classical(ClassicalModel(coefficients=np.zeros(4)), [0.0], fm)
+        xs = rng.uniform(-np.pi, np.pi, size=(20, 2))
+        values = feature_matrix(xs, fm) @ c
+        r2 = np.sqrt(2)
+        for (x1, x2), value in zip(xs, values):
+            first = [1.0, r2 * np.cos(x1), r2 * np.sin(x1)]
+            second = [1.0, r2 * np.cos(x2), r2 * np.sin(x2), r2 * np.cos(2 * x2),
+                      r2 * np.sin(2 * x2)]
+            naive = sum(c[5 * i + j] * a * b
+                        for i, a in enumerate(first) for j, b in enumerate(second))
+            assert value == pytest.approx(naive, abs=1e-12)
 
     def test_projected_evaluation(self):
         fm = FeatureMap(n_variables=1, degrees=(2,))
         proj = leading_feature_projection(fm, 3)
         rng = make_rng(3)
         c = rng.standard_normal(3)
-        truncated = ClassicalModel(coefficients=c, projection=proj)
-        padded = ClassicalModel(coefficients=np.concatenate([c, np.zeros(2)]))
-        xs = rng.uniform(-np.pi, np.pi, size=(10, 1))
-        np.testing.assert_allclose(
-            evaluate_classical_batch(truncated, xs, fm),
-            evaluate_classical_batch(padded, xs, fm),
-            atol=1e-12,
-        )
+        padded = np.concatenate([c, np.zeros(2)])
+        phi = feature_matrix(rng.uniform(-np.pi, np.pi, size=(10, 1)), fm)
+        np.testing.assert_allclose(phi @ proj.T @ c, phi @ padded, atol=1e-12)
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             ClassicalModel(coefficients=np.array([1.0, np.nan]))
-
-
-class TestGradient:
-    def test_zero_residual(self):
-        fm = FeatureMap(n_variables=1, degrees=(1,))
-        model = ClassicalModel(coefficients=np.eye(3)[0])
-        grad = gradient_classical(model, [0.7], y=1.0, fm=fm)
-        np.testing.assert_allclose(grad, np.zeros(3), atol=1e-12)
-
-    def test_hand_evaluated_case(self):
-        """c = 0, y = -1, x = 0: gradient = (0 - (-1)) * phi(0) = (1, sqrt2, 0)."""
-        fm = FeatureMap(n_variables=1, degrees=(1,))
-        model = ClassicalModel(coefficients=np.zeros(3))
-        grad = gradient_classical(model, [0.0], y=-1.0, fm=fm)
-        np.testing.assert_allclose(grad, [1.0, np.sqrt(2), 0.0], atol=1e-12)
-
-    @pytest.mark.parametrize("projected", [False, True])
-    def test_matches_finite_difference(self, projected):
-        fm = FeatureMap(n_variables=2, degrees=(1, 1))
-        rng = make_rng(4)
-        if projected:
-            proj = rng.standard_normal((4, fm.dimension))
-            model = ClassicalModel(coefficients=rng.standard_normal(4), projection=proj)
-        else:
-            model = ClassicalModel(coefficients=rng.standard_normal(fm.dimension))
-        x = rng.uniform(-np.pi, np.pi, size=2)
-        y = 0.4
-        grad = gradient_classical(model, x, y, fm)
-
-        def loss(c):
-            trial = ClassicalModel(coefficients=c, projection=model.projection)
-            return 0.5 * (evaluate_classical(trial, x, fm) - y) ** 2
-
-        h = 1e-6
-        fd = np.zeros_like(model.coefficients)
-        for k in range(len(fd)):
-            up, down = model.coefficients.copy(), model.coefficients.copy()
-            up[k] += h
-            down[k] -= h
-            fd[k] = (loss(up) - loss(down)) / (2 * h)
-        np.testing.assert_allclose(grad, fd, atol=1e-7)
 
 
 class TestCrossModelConsistency:
@@ -169,10 +117,9 @@ class TestCrossModelConsistency:
         theta = init_parameters(spec, make_rng(5))
         c = coefficient_vector(fourier_coefficients(spec, theta))
         fm = FeatureMap(n_variables=1, degrees=(4,))
-        model = ClassicalModel(coefficients=c)
         xs = make_rng(6).uniform(-np.pi, np.pi, size=(50, 1))
         np.testing.assert_allclose(
-            evaluate_classical_batch(model, xs, fm),
+            feature_matrix(xs, fm) @ c,
             evaluate_batch(spec, theta, xs),
             atol=1e-9,
         )
@@ -231,8 +178,7 @@ def proj_dim(n_points, eps):
 class TestPcaProjection:
     def test_single_direction(self):
         fm = FeatureMap(n_variables=1, degrees=(2,))
-        phi = feature_map([0.8], fm)
-        feats = np.tile(phi, (6, 1))
+        feats = feature_matrix(np.full((6, 1), 0.8), fm)
         proj = pca_projection(feats, d_tilde=1)
         assert proj.reconstruction_error == pytest.approx(0.0, abs=1e-9)
 
@@ -280,54 +226,3 @@ class TestPcaProjection:
         feats = np.zeros((4, 3))
         with pytest.raises(ValueError):
             pca_projection(feats, d_tilde=4)
-
-
-class TestSerialization:
-    def test_round_trip_full(self):
-        fm = FeatureMap(n_variables=2, degrees=(1, 2))
-        model = ClassicalModel(coefficients=make_rng(18).standard_normal(fm.dimension))
-        loaded, loaded_fm = model_from_json(model_to_json(model, fm))
-        assert loaded_fm == fm
-        np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
-        assert loaded.projection is None
-
-    def test_round_trip_projected(self):
-        fm = FeatureMap(n_variables=1, degrees=(3,))
-        proj = leading_feature_projection(fm, 4)
-        model = ClassicalModel(coefficients=np.arange(4.0), projection=proj)
-        loaded, _ = model_from_json(model_to_json(model, fm))
-        np.testing.assert_array_equal(loaded.projection, proj)
-
-    def test_version_and_unknown_fields(self):
-        import json
-
-        fm = FeatureMap(n_variables=1, degrees=(1,))
-        model = ClassicalModel(coefficients=np.zeros(3))
-        doc = json.loads(model_to_json(model, fm))
-        bad = dict(doc, version="cfflm-v2")
-        with pytest.raises(ValueError, match="version"):
-            model_from_json(json.dumps(bad))
-        bad = dict(doc, extra=1)
-        with pytest.raises(ValueError, match="unknown"):
-            model_from_json(json.dumps(bad))
-
-    @pytest.mark.parametrize("name,value", [
-        ("n_variables", 1.7),
-        ("degrees", [1.9]),
-    ], ids=["n_variables-float", "degree-float"])
-    def test_non_integer_count_rejected(self, name, value):
-        import json
-
-        fm = FeatureMap(n_variables=1, degrees=(1,))
-        doc = json.loads(model_to_json(ClassicalModel(coefficients=np.zeros(3)), fm))
-        doc[name] = value
-        with pytest.raises(ValueError, match=name):
-            model_from_json(json.dumps(doc))
-
-    def test_non_finite_projection_rejected(self):
-        fm = FeatureMap(n_variables=1, degrees=(1,))
-        proj = leading_feature_projection(fm, 2)
-        proj[1, 2] = np.nan
-        model = ClassicalModel(coefficients=np.zeros(2), projection=proj)
-        with pytest.raises(ValueError, match="NaN"):
-            model_from_json(model_to_json(model, fm))

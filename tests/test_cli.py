@@ -529,10 +529,11 @@ def plateau_config(out_dir, **overrides):
 
 
 class TestIntegerFields:
-    """Integer fields take JSON integers only: 2.0 is a config error."""
+    """Integer fields take JSON integers only: 2.0 and true are config errors."""
 
     @pytest.mark.parametrize("command,make_doc,field", [
         ("train", lambda out: quantum_train_config(out, n_qubits=2.0), "n_qubits"),
+        ("train", lambda out: quantum_train_config(out, n_qubits=True), "n_qubits"),
         ("train", lambda out: quantum_train_config(out, seed=1.0), "seed"),
         ("compare", lambda out: compare_config(out, runs=1.0), "runs"),
         ("plateau", lambda out: plateau_config(out, qubit_counts=[2.0]), "qubit_counts"),
@@ -544,7 +545,7 @@ class TestIntegerFields:
             "version": "bicone-v1", "seed": 7, "output_dir": str(out),
             "n_samples": 10.0, "grid_points": 64,
         }, "n_samples"),
-    ], ids=["train-n_qubits", "train-seed", "compare-runs", "plateau-qubit_counts",
+    ], ids=["train-n_qubits", "train-n_qubits-bool", "train-seed", "compare-runs", "plateau-qubit_counts",
             "resources-K", "bicone-n_samples"])
     def test_float_rejected(self, tmp_path, capsys, command, make_doc, field):
         out = tmp_path / "out"

@@ -1,15 +1,23 @@
-"""What a fresh interpreter loads: jsonschema only once a document is validated.
+"""What the package's modules load and export.
 
 jsonschema and its dependencies cost about 0.1 s of start-up, so only
-``errors.load_document`` imports it, on its first call.  Each check runs a
-new interpreter, because this test session has long since imported it.
+``errors.load_document`` imports it, on its first call.  Each of those
+checks runs a new interpreter, because this test session has long since
+imported it.  Every name a module lists in ``__all__`` must exist, so a
+stale export fails here rather than at ``from fourierqml.x import *``.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import fourierqml
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -58,3 +66,12 @@ from fourierqml import cli
 assert cli._load_config({str(config)!r}, cli._TRAIN_SCHEMA)["family"] == "classical"
 """
     assert loaded_after(code) is True
+
+
+@pytest.mark.parametrize("name", ["fourierqml"] + [
+    "fourierqml." + module.name for module in pkgutil.iter_modules(fourierqml.__path__)])
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [export for export in getattr(module, "__all__", ())
+               if not hasattr(module, export)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

@@ -1,6 +1,6 @@
 """Quantum model tests: parameter counting, evaluation against 2x2
-matrix-product oracles, parameter-shift exactness, band-limited Fourier
-structure, and serialization."""
+matrix-product oracles, parameter-shift exactness, and band-limited Fourier
+structure."""
 
 import warnings
 
@@ -16,12 +16,9 @@ from fourierqml.qfflm import (
     Parallel,
     Ring,
     Serial,
-    ansatz_from_json,
-    ansatz_to_json,
     coefficient_vector,
     evaluate,
     evaluate_batch,
-    evaluate_sampled,
     fourier_coefficients,
     gradient_parameter_shift,
     init_parameters,
@@ -751,31 +748,6 @@ class TestEvaluate:
             assert batch[i] == pytest.approx(evaluate(spec, theta, xs[i]), abs=1e-12)
 
 
-class TestEvaluateSampled:
-    def test_deterministic_state_is_exact(self):
-        spec = sample_specs()[0]
-        theta = np.zeros(param_count(spec))
-        assert evaluate_sampled(spec, theta, [0.3], shots=17, rng=make_rng(0)) == 1.0
-
-    def test_minus_one_estimate(self):
-        est = evaluate_sampled(ONE_QUBIT, MINUS_COS_THETA, [0.0], shots=1_000_000, rng=make_rng(9))
-        assert abs(est - (-1.0)) < 5e-3
-
-    def test_seeded_repeatability(self):
-        theta = init_parameters(ONE_QUBIT, make_rng(10))
-        a = evaluate_sampled(ONE_QUBIT, theta, [0.7], shots=500, rng=make_rng(11))
-        b = evaluate_sampled(ONE_QUBIT, theta, [0.7], shots=500, rng=make_rng(11))
-        assert a == b
-
-    def test_several_points_rejected(self):
-        """Like evaluate, it estimates one point; a batch used to be
-        sampled in full and all but its first estimate dropped."""
-        spec = sample_specs()[0]
-        with pytest.raises(ValueError, match="single input point"):
-            evaluate_sampled(spec, np.zeros(param_count(spec)), [[0.1], [0.2], [0.3]],
-                             shots=10, rng=make_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
@@ -990,66 +962,3 @@ class TestCoefficientVector:
         theta = init_parameters(spec, make_rng(54))
         with pytest.raises(ValueError, match="dense"):
             coefficient_vector(fourier_coefficients(spec, theta))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-class TestSerialization:
-    @pytest.mark.parametrize("spec_idx", [0, 1, 2, 3])
-    def test_round_trip(self, spec_idx):
-        spec = sample_specs()[spec_idx]
-        assert ansatz_from_json(ansatz_to_json(spec)) == spec
-
-    def test_version_checked(self):
-        import json
-
-        doc = json.loads(ansatz_to_json(ONE_QUBIT))
-        doc["version"] = "ansatz-v9"
-        with pytest.raises(ValueError, match="version"):
-            ansatz_from_json(json.dumps(doc))
-
-    def test_unknown_field_rejected(self):
-        import json
-
-        doc = json.loads(ansatz_to_json(ONE_QUBIT))
-        doc["surprise"] = 1
-        with pytest.raises(ValueError, match="unknown"):
-            ansatz_from_json(json.dumps(doc))
-
-    def test_missing_field_rejected(self):
-        import json
-
-        doc = json.loads(ansatz_to_json(ONE_QUBIT))
-        del doc["n_layers"]
-        with pytest.raises(ValueError, match="missing"):
-            ansatz_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("topology,message", [
-        ({"kind": "serial"}, "missing field: 'reuploads'"),
-        ({"kind": "parallel", "reuploads": 2}, "'reuploads' was unexpected"),
-    ], ids=["serial-without-reuploads", "parallel-with-reuploads"])
-    def test_topology_error_names_the_field(self, topology, message):
-        import json
-
-        doc = json.loads(ansatz_to_json(ONE_QUBIT))
-        doc["topology"] = topology
-        with pytest.raises(ValueError, match=message):
-            ansatz_from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize("name,value", [
-        ("topology", "parallel"),
-        ("encoding", 5),
-        ("n_layers", 1.7),
-        ("n_layers", True),
-        ("n_layers", 2.0),
-    ], ids=["topology-not-object", "encoding-not-list", "count-float", "count-bool",
-            "count-integral-float"])
-    def test_malformed_field_rejected(self, name, value):
-        import json
-
-        doc = json.loads(ansatz_to_json(ONE_QUBIT))
-        doc[name] = value
-        with pytest.raises(ValueError, match=name):
-            ansatz_from_json(json.dumps(doc))

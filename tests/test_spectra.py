@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from fourierqml.errors import CapacityError
 from fourierqml.spectra import (
     EncodingSpec,
-    chebyshev_reencode,
     exponential_weights,
-    is_dense,
-    is_maximally_nondegenerate,
     naive_weights,
-    product_spectrum,
     spectrum,
 )
 
@@ -121,15 +117,16 @@ class TestStructurePredicates:
             ((1, 4), True, False),
             ((1, 7, 49), True, False),
             ((1,), True, True),
-            # (2,3) violates the prefix inequality 2*2 >= 3 but all nine
-            # signed sums are still distinct; the exact path must catch it
+            # (2,3) violates the prefix inequality 2*2 >= 3 (no weight
+            # out-ranges the span of the smaller ones), yet all nine signed
+            # sums are distinct
             ((2, 3), True, False),
         ],
     )
     def test_known_cases(self, weights, nondegenerate, dense):
-        enc = EncodingSpec(weights=weights)
-        assert is_maximally_nondegenerate(enc) is nondegenerate
-        assert is_dense(enc) is dense
+        spec = spectrum(EncodingSpec(weights=weights))
+        assert spec.is_nondegenerate is nondegenerate
+        assert spec.is_dense is dense
 
     @pytest.mark.parametrize("weights,dense", [((1, 3, 9), True), ((1, 4), False), ((2, 3), False)])
     def test_dense_property(self, weights, dense):
@@ -137,19 +134,17 @@ class TestStructurePredicates:
 
     @pytest.mark.parametrize("n", [14, 20])
     def test_nondegeneracy_beyond_13_weights(self, n):
-        """Fourteen or more equal weights fail the prefix inequality; their
-        2n + 1 frequencies decide nondegeneracy without a capacity error."""
-        enc = naive_weights(n)
-        assert is_maximally_nondegenerate(enc) is False
-        assert spectrum(enc).is_nondegenerate is False
+        """Fourteen or more equal weights have only 2n + 1 frequencies, so
+        their spectrum decides nondegeneracy without a capacity error."""
+        assert spectrum(naive_weights(n)).is_nondegenerate is False
         assert spectrum(exponential_weights(5)).is_nondegenerate is True
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5))
     def test_nondegeneracy_iff_all_sums_distinct(self, weights):
-        enc = EncodingSpec(weights=tuple(weights))
-        spec = spectrum(enc)
-        assert is_maximally_nondegenerate(enc) == (spec.distinct_count == 3 ** len(weights))
+        spec = spectrum(EncodingSpec(weights=tuple(weights)))
+        _, multiplicity = brute_force_spectrum(weights)
+        assert spec.is_nondegenerate == (len(multiplicity) == 3 ** len(weights))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))
@@ -170,50 +165,8 @@ class TestStructurePredicates:
     def test_exponential_is_extremal(self, n):
         """Exponential weights are simultaneously dense and maximally
         nondegenerate; growing any faster breaks density."""
-        enc = exponential_weights(n)
-        assert is_dense(enc) and is_maximally_nondegenerate(enc)
+        spec = spectrum(exponential_weights(n))
+        assert spec.is_dense and spec.is_nondegenerate
         if n >= 2:
             faster = EncodingSpec(weights=tuple(4**k for k in range(n)))
-            assert not is_dense(faster)
-
-
-class TestProductSpectrum:
-    def test_two_variable_lattice(self):
-        prod = product_spectrum(exponential_weights(3), n_variables=2)
-        assert prod.size == 27**2
-        assert prod.lattice is not None
-        assert prod.lattice.shape == (729, 2)
-        # row-major ordering: variable 1 is the major axis
-        np.testing.assert_array_equal(prod.lattice[0], [-13, -13])
-        np.testing.assert_array_equal(prod.lattice[1], [-13, -12])
-        np.testing.assert_array_equal(prod.lattice[-1], [13, 13])
-
-    def test_large_lattice_reported_by_log_only(self):
-        prod = product_spectrum(exponential_weights(3), n_variables=36)
-        assert prod.size == 27**36
-        assert prod.lattice is None
-        assert prod.log10_size == pytest.approx(36 * np.log10(27.0), rel=1e-12)
-
-    def test_mixed_specs(self):
-        prod = product_spectrum([exponential_weights(2), naive_weights(2)], n_variables=2)
-        assert [s.distinct_count for s in prod.per_variable] == [9, 5]
-        assert prod.size == 45
-
-    def test_spec_count_mismatch(self):
-        with pytest.raises(ValueError):
-            product_spectrum([exponential_weights(1)], n_variables=2)
-
-
-class TestChebyshevReencode:
-    def test_values(self):
-        assert chebyshev_reencode(0.5) == pytest.approx(np.pi / 3)
-        assert chebyshev_reencode(1.0) == pytest.approx(0.0)
-        np.testing.assert_allclose(
-            chebyshev_reencode(np.array([-1.0, 0.0])), [np.pi, np.pi / 2]
-        )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            chebyshev_reencode(1.0001)
-        with pytest.raises(ValueError):
-            chebyshev_reencode(np.array([0.0, -2.0]))
+            assert not spectrum(faster).is_dense

@@ -31,7 +31,6 @@ from fourierqml.trainer import (
     StepTarget,
     TrainConfig,
     adam_step,
-    coulomb_features,
     denormalize_outputs,
     load_csv_dataset,
     make_grid_dataset,
@@ -299,6 +298,18 @@ class TestClassicalTraining(SharedLoopChecks):
                   - mse_loss(phi @ (c0 - step), data.outputs)) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("model,width", [
+        (ClassicalModel(coefficients=np.zeros(5)), 5),
+        (ClassicalModel(coefficients=np.zeros(2), projection=np.zeros((2, 6))), 6),
+    ], ids=["unprojected", "projected"])
+    def test_dimension_mismatch(self, model, width):
+        """A model whose feature width is not the map's is refused up front,
+        not by a shape error inside the first product."""
+        with pytest.raises(ValueError,
+                           match=f"model expects {width}-dimensional features, map gives 7"):
+            train(model, make_step_dataset(16), TrainConfig(steps=1),
+                  feature_map=FeatureMap(n_variables=1, degrees=(3,)))
+
     def test_shots_rejected(self):
         # a classical fit is exact; a shot count would be recorded yet never read
         data = make_step_dataset(8)
@@ -480,33 +491,6 @@ class TestResultRecord:
             # 17 significant digits round-trip exactly
             assert float(train_loss) == record.loss_trace[step]
             assert float(test_loss) == record.test_loss_trace[step]
-
-
-class TestCoulombFeatures:
-    def test_unit_pair(self):
-        positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(coulomb_features(positions, [1.0, 1.0]), [1.0])
-
-    def test_charge_scaling(self):
-        positions = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-        base = coulomb_features(positions, [1.0, 1.0, 1.0])
-        doubled = coulomb_features(positions, [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(doubled, 4.0 * base)
-
-    def test_nine_atoms_give_36_features(self):
-        rng = make_rng(0)
-        positions = rng.uniform(-1, 1, (9, 3))
-        charges = np.arange(1.0, 10.0)
-        features = coulomb_features(positions, charges)
-        assert features.shape == (36,)
-        # first feature pairs atoms 1 and 2, lexicographic order
-        expected = charges[0] * charges[1] / np.linalg.norm(positions[0] - positions[1])
-        assert features[0] == pytest.approx(expected)
-
-    def test_coincident_atoms_rejected(self):
-        positions = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="coincident"):
-            coulomb_features(positions, [1.0, 1.0])
 
 
 class TestCsvDataset:

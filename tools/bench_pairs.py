@@ -66,6 +66,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     Started and read as ``perfbench/report.py``'s ``run_workload`` does
     (the result is stdout's last line, the machine record in the line
     before it), but from ``checkout``, whose own run.py and source it runs.
+    The result keeps that line's ``detail`` (the run's set-up samples and
+    operation walls, among others) under the key ``detail``.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -75,7 +77,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["machine"]
+    info = json.loads(lines[-2])
+    return dict(json.loads(lines[-1]), detail=info["detail"]), info["machine"]
 
 
 def _stats(values: list[float]) -> dict:
