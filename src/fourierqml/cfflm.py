@@ -9,12 +9,13 @@ multivariate column the Kronecker product over variables, variable 1
 major.  Feature index ``0`` is the constant, ``2j - 1`` the ``cos(j x)``
 feature and ``2j`` the ``sin(j x)`` feature per variable; this ordering
 is load-bearing, since quantum-model coefficient vectors are aligned
-with it.
+with it.  ``grid_coefficients`` reads any band-limited function in this
+basis from its values on the map's uniform grid.
 
-Underparametrized models are expressed through a projection matrix ``P``
-applied to the features, ``f = c~ . (P phi)``: an axis-aligned selection
-of leading features, a scaled Gaussian (Johnson-Lindenstrauss) map, or
-the top principal components of the feature second-moment matrix.
+An underparametrized model of ``n < K`` coefficients weighs the leading
+``n`` features.  A scaled Gaussian (Johnson-Lindenstrauss) map and the
+top principal components of the feature second-moment matrix are
+provided as feature-space projections.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "RandomProjection",
     "PcaProjection",
     "feature_matrix",
-    "leading_feature_projection",
+    "grid_coefficients",
     "random_projection",
     "pca_projection",
 ]
@@ -101,17 +102,45 @@ def feature_matrix(xs, fm: FeatureMap) -> np.ndarray:
     return out
 
 
+def grid_coefficients(f, fm: FeatureMap) -> np.ndarray:
+    """Real coefficient vector of ``f`` in the feature basis of ``fm``.
+
+    ``f`` maps inputs of shape (n, M) to n real values and must be
+    band-limited to the map's degrees.  It is sampled once on the grid
+    ``x = -pi + 2 pi g / (2 d_m + 1)``, ``2 d_m + 1`` points per variable,
+    and each variable takes one real FFT: with ``F_j`` its bins over
+    ``G = 2 d_m + 1`` points, ``e^{-2 pi i j g / G} = (-1)^j e^{-i j x_g}``
+    gives the constant ``F_0 / G`` and, for ``j >= 1``, the cos and sin
+    coefficients ``sqrt(2) (-1)^j Re F_j / G`` and
+    ``-sqrt(2) (-1)^j Im F_j / G``.  The transformed values stay real, so
+    the variables go one after another.  The result ``c`` satisfies
+    ``f(x) = c . phi(x)``, Kronecker ordered as in ``feature_matrix``.
+    """
+    sizes = fm.per_variable_dims
+    axes = [-np.pi + 2.0 * np.pi * np.arange(g) / g for g in sizes]
+    xs = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    acc = np.asarray(f(xs), dtype=np.float64).reshape(sizes)
+    for axis, g in enumerate(sizes):
+        bins = np.moveaxis(np.fft.rfft(acc, axis=axis), axis, 0) / g
+        scale = np.sqrt(2.0) * (-1.0) ** np.arange(1, bins.shape[0])
+        scale = scale.reshape((-1,) + (1,) * (bins.ndim - 1))
+        out = np.empty((g,) + bins.shape[1:])
+        out[0] = bins[0].real
+        out[1::2] = scale * bins[1:].real
+        out[2::2] = -scale * bins[1:].imag
+        acc = np.moveaxis(out, 0, axis)
+    return acc.ravel()
+
+
 @dataclass
 class ClassicalModel:
-    """Linear model ``c . phi(x)``, optionally through a projection.
+    """Linear model ``c . phi(x)[:n]`` over the leading ``n`` features.
 
-    ``projection`` (shape ``(d~, K^M)``) is applied to the features, so
-    ``coefficients`` has length ``d~`` for projected models and ``K^M``
-    for the fully-parametrized one.
+    ``coefficients`` holds ``n`` values, ``1 <= n <= K^M`` for the feature
+    map it trains with; ``n = K^M`` is the fully-parametrized model.
     """
 
     coefficients: np.ndarray = field(repr=False)
-    projection: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -119,32 +148,10 @@ class ClassicalModel:
             raise ValueError("coefficients must be a vector")
         if not np.isfinite(self.coefficients).all():
             raise ValueError("coefficients must be finite")
-        if self.projection is not None:
-            self.projection = np.asarray(self.projection, dtype=np.float64)
-            if (
-                self.projection.ndim != 2
-                or self.projection.shape[0] != self.coefficients.shape[0]
-            ):
-                raise ValueError(
-                    f"projection shape {self.projection.shape} does not match "
-                    f"{self.coefficients.shape[0]} coefficients"
-                )
 
     @property
     def n_parameters(self) -> int:
         return self.coefficients.shape[0]
-
-
-def leading_feature_projection(fm: FeatureMap, dimension: int) -> np.ndarray:
-    """Selection of the first ``dimension`` features in canonical order.
-
-    This is how a lower-dimensional model spanning only the leading
-    Fourier coefficients (e.g. a 64-dimensional model inside an
-    81-dimensional feature space) is expressed.
-    """
-    if not 1 <= dimension <= fm.dimension:
-        raise ValueError(f"dimension must be in 1..{fm.dimension}, got {dimension}")
-    return np.eye(dimension, fm.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, trainer
-from .cfflm import ClassicalModel, FeatureMap, leading_feature_projection
+from .cfflm import ClassicalModel, FeatureMap
 from .errors import (
     CapacityError,
     ConfigError,
@@ -316,11 +316,7 @@ def _build_train_pieces(config: dict):
         return model, data, cfg, None
     degree = config.get("degree", 40)
     fm = FeatureMap(n_variables=1, degrees=(degree,))
-    dimension = config.get("dimension")
-    projection = None if dimension is None else leading_feature_projection(fm, dimension)
-    size = fm.dimension if dimension is None else dimension
-    model = ClassicalModel(coefficients=np.zeros(size), projection=projection)
-    return model, data, cfg, fm
+    return ClassicalModel(np.zeros(config.get("dimension", fm.dimension))), data, cfg, fm
 
 
 def _train_files(record: trainer.ResultRecord) -> dict[str, str]:

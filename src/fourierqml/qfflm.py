@@ -105,7 +105,6 @@ __all__ = [
     "gradient_parameter_shift",
     "values_and_jacobian",
     "fourier_coefficients",
-    "coefficient_vector",
 ]
 
 _MAX_GRID = 10_000_000
@@ -847,46 +846,3 @@ def fourier_coefficients(
         n_variables=m_vars, supports=supports, values=values, residual=residual
     )
 
-
-def _complex_to_real_matrix(degree: int) -> np.ndarray:
-    """Map coefficients on frequencies -d..d to the real feature basis.
-
-    Feature ordering per variable: index 0 the constant, ``2j - 1`` the
-    ``sqrt(2) cos(j x)`` feature and ``2j`` the ``sqrt(2) sin(j x)``
-    feature, so that ``f = sum_k out[k] * phi_k``.
-    """
-    k = 2 * degree + 1
-    t = np.zeros((k, k), dtype=np.complex128)
-    t[0, degree] = 1.0
-    rt = 1.0 / np.sqrt(2.0)
-    for j in range(1, degree + 1):
-        t[2 * j - 1, degree + j] = rt
-        t[2 * j - 1, degree - j] = rt
-        t[2 * j, degree + j] = -1j * rt
-        t[2 * j, degree - j] = 1j * rt
-    return t
-
-
-def coefficient_vector(fc: FourierCoefficients) -> np.ndarray:
-    """Real coefficient vector aligned with the classical feature map.
-
-    Requires a dense lattice (every integer frequency in ``[-d_F, d_F]``
-    per variable); sparse-spectrum models keep their complex form.  The
-    result ``c`` satisfies ``f(x) = c . phi(x)`` with the Kronecker
-    feature ordering of :func:`fourierqml.cfflm.feature_matrix`.
-    """
-    acc = fc.values
-    for axis in range(fc.n_variables):
-        support = fc.supports[axis]
-        degree = int(support[-1])
-        if len(support) != 2 * degree + 1 or support[0] != -degree:
-            raise ValueError(
-                "coefficient_vector needs a dense frequency lattice; "
-                "this model's spectrum has gaps -- use the complex form"
-            )
-        t = _complex_to_real_matrix(degree)
-        acc = np.moveaxis(np.tensordot(t, acc, axes=(1, axis)), 0, axis)
-    imag = float(np.abs(acc.imag).max()) if acc.size else 0.0
-    if imag > 1e-9:
-        raise ValueError(f"coefficients are not real within tolerance (residue {imag:.3e})")
-    return np.ascontiguousarray(acc.real).ravel()

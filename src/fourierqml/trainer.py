@@ -18,8 +18,9 @@ into the observable).  With ``shots`` it is the parameter-shift rule over
 sampled circuits.  Either way the quantum resource counters
 price the parameter-shift protocol, ``2 N_tp + 1`` circuits of the full
 program per batch point, which is what hardware would run.  The
-classical Jacobian is the batch's rows of the precomputed (projected)
-feature matrix.
+classical Jacobian is the batch's rows of the precomputed feature
+matrix, cut to the model's leading columns.  Both families recover
+their coefficients in the classical feature basis.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,
@@ -35,20 +36,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cfflm import (
-    ClassicalModel,
-    FeatureMap,
-    feature_matrix,
-    leading_feature_projection,
-)
+from .cfflm import ClassicalModel, FeatureMap, feature_matrix, grid_coefficients
 from .errors import DatasetParseError, TrainingError
 from .qfflm import (
     AnsatzSpec,
     Parallel,
-    coefficient_vector,
     count_gates,
     evaluate_batch,
-    fourier_coefficients,
     init_parameters,
     param_count,
     values_and_jacobian,
@@ -449,8 +443,8 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
         )
+    degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
     if cfg.recover_coefficients:
-        degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
         _nyquist_check(data.inputs, degrees, cfg.allow_sub_nyquist)
     rng = make_rng(cfg.seed)
     theta = init_parameters(spec, rng)
@@ -484,7 +478,8 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         return evaluate_batch(spec, params, data.inputs)
 
     def recover(params):
-        return coefficient_vector(fourier_coefficients(spec, params))
+        return grid_coefficients(lambda xs: evaluate_batch(spec, params, xs),
+                                 FeatureMap(spec.n_variables, degrees))
 
     return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters, started)
 
@@ -493,10 +488,9 @@ def _train_classical(
     model: ClassicalModel, data: Dataset, cfg: TrainConfig, fm: FeatureMap, test_data
 ) -> ResultRecord:
     started = time.perf_counter()
-    projection = model.projection
-    width = model.n_parameters if projection is None else projection.shape[1]
-    if width != fm.dimension:
-        raise ValueError(f"model expects {width}-dimensional features, map gives {fm.dimension}")
+    dim = model.n_parameters
+    if not 1 <= dim <= fm.dimension:
+        raise ValueError(f"dimension must be in 1..{fm.dimension}, got {dim}")
     if data.inputs.shape[1] != fm.n_variables:
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, feature map expects {fm.n_variables}"
@@ -507,12 +501,10 @@ def _train_classical(
         _nyquist_check(data.inputs, fm.degrees, cfg.allow_sub_nyquist)
 
     def features(dataset: Dataset) -> np.ndarray:
-        phi = feature_matrix(dataset.inputs, fm)
-        return phi if projection is None else phi @ projection.T
+        return feature_matrix(dataset.inputs, fm)[:, :dim]
 
     phi = features(data)
     phi_test = None if test_data is None else features(test_data)
-    dim = phi.shape[1]
     counters = {
         "parameter_dimension": dim,
         "feature_dimension": fm.dimension,
@@ -534,7 +526,7 @@ def _train_classical(
         return phi @ params
 
     def recover(params):
-        return params.copy() if projection is None else projection.T @ params
+        return np.concatenate([params, np.zeros(fm.dimension - dim)])
 
     return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, test_data,
                 batch, exact, recover, counters, started)
@@ -704,11 +696,8 @@ def run_expressivity_comparison(
                 seed=_derived_seed(base_seed, r_index, run, 2),
             )
             q_row.append(train(spec, data, q_cfg))
-            classical_model = ClassicalModel(
-                coefficients=np.zeros(classical_dimension),
-                projection=leading_feature_projection(fm, classical_dimension),
-            )
-            c_row.append(train(classical_model, data, c_cfg, feature_map=fm))
+            c_row.append(train(ClassicalModel(np.zeros(classical_dimension)), data, c_cfg,
+                               feature_map=fm))
         quantum.append(q_row)
         classical.append(c_row)
     return ComparisonResult(r_values=r_values, runs=runs, quantum=quantum, classical=classical)

@@ -1,5 +1,6 @@
 """Classical model tests: feature-map conventions, model values as
-feature rows times coefficients, and the two projection schemes."""
+feature rows times coefficients, coefficient recovery from grid samples,
+and the two projection schemes."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
     feature_matrix,
-    leading_feature_projection,
+    grid_coefficients,
     pca_projection,
     random_projection,
 )
@@ -85,13 +86,17 @@ class TestEvaluate:
             assert value == pytest.approx(naive, abs=1e-12)
 
     def test_projected_evaluation(self):
+        """A model of n < K coefficients weighs the leading n features: it
+        is the full model with its coefficients zero-padded to K, and
+        ``grid_coefficients`` recovers that padded vector."""
         fm = FeatureMap(n_variables=1, degrees=(2,))
-        proj = leading_feature_projection(fm, 3)
         rng = make_rng(3)
         c = rng.standard_normal(3)
         padded = np.concatenate([c, np.zeros(2)])
         phi = feature_matrix(rng.uniform(-np.pi, np.pi, size=(10, 1)), fm)
-        np.testing.assert_allclose(phi @ proj.T @ c, phi @ padded, atol=1e-12)
+        np.testing.assert_allclose(phi[:, :3] @ c, phi @ padded, atol=1e-12)
+        recovered = grid_coefficients(lambda xs: feature_matrix(xs, fm)[:, :3] @ c, fm)
+        np.testing.assert_allclose(recovered, padded, rtol=0, atol=1e-12)
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError):
@@ -102,21 +107,14 @@ class TestCrossModelConsistency:
     def test_quantum_coefficients_reproduce_quantum_outputs(self):
         """A fully-parametrized classical model loaded with a quantum
         model's real coefficient vector is the same function."""
-        from fourierqml.qfflm import (
-            AnsatzSpec,
-            Parallel,
-            coefficient_vector,
-            evaluate_batch,
-            fourier_coefficients,
-            init_parameters,
-        )
+        from fourierqml.qfflm import AnsatzSpec, Parallel, evaluate_batch, init_parameters
         from fourierqml.spectra import exponential_weights
 
         spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
                           topology=Parallel(), encoding=exponential_weights(2))
         theta = init_parameters(spec, make_rng(5))
-        c = coefficient_vector(fourier_coefficients(spec, theta))
         fm = FeatureMap(n_variables=1, degrees=(4,))
+        c = grid_coefficients(lambda xs: evaluate_batch(spec, theta, xs), fm)
         xs = make_rng(6).uniform(-np.pi, np.pi, size=(50, 1))
         np.testing.assert_allclose(
             feature_matrix(xs, fm) @ c,

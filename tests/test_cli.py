@@ -188,6 +188,16 @@ class TestTrainCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["resource_counters"]["parameter_dimension"] == 6
 
+    def test_sparse_spectrum_recovery(self, tmp_path):
+        """Weights (1, 7) leave gaps in the spectrum; the coefficients are
+        read on the enclosing lattice of degree 8."""
+        out = tmp_path / "run"
+        config = write_config(tmp_path, quantum_train_config(
+            out, encoding=[1, 7], recover_coefficients=True))
+        assert main(["train", "--config", config]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["recovered_coefficients"]) == 17
+
     def test_divergence_exit_code_and_partial_trace(self, tmp_path):
         out = tmp_path / "run"
         config = write_config(tmp_path, {

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourierqml import qfflm
+from fourierqml.cfflm import FeatureMap, feature_matrix, grid_coefficients
 from fourierqml.errors import CapacityError
 from fourierqml.qfflm import (
     AnsatzSpec,
     Parallel,
     Ring,
     Serial,
-    coefficient_vector,
     evaluate,
     evaluate_batch,
     fourier_coefficients,
@@ -28,6 +28,7 @@ from fourierqml.qfflm import (
 from fourierqml.rng import make_rng
 from fourierqml.spectra import EncodingSpec, exponential_weights, naive_weights
 from fourierqml.statevector import expectation_z, sample_expectation_z
+from fourierqml.trainer import make_random_fourier_target
 
 from dense_oracle import block_unitaries, encoding_diagonal
 
@@ -913,10 +914,37 @@ class TestFourierCoefficients:
             fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA, grid_sizes=2)
 
 
+def real_vector(spec, theta):
+    """The model's real coefficient vector on the lattice its weight sums enclose."""
+    degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
+    return grid_coefficients(lambda xs: evaluate_batch(spec, theta, xs),
+                             FeatureMap(spec.n_variables, degrees))
+
+
+def complex_from_real(vec, degrees):
+    """Coefficients ``c(n)`` of ``sum_n c(n) e^{-i n.x}`` on the dense lattice.
+
+    Per variable ``c(0) = a_0`` and ``c(+-j) = (a_j +- i b_j) / sqrt 2``,
+    with ``a_j`` and ``b_j`` the cos and sin entries of ``vec``.
+    """
+    acc = vec.reshape([2 * d + 1 for d in degrees]).astype(np.complex128)
+    for axis, d in enumerate(degrees):
+        u = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
+        u[d, 0] = 1.0
+        for j in range(1, d + 1):
+            u[d + j, 2 * j - 1] = u[d - j, 2 * j - 1] = 1 / np.sqrt(2)
+            u[d + j, 2 * j] = 1j / np.sqrt(2)
+            u[d - j, 2 * j] = -1j / np.sqrt(2)
+        acc = np.moveaxis(np.tensordot(u, acc, axes=(1, axis)), 0, axis)
+    return acc
+
+
 class TestCoefficientVector:
+    """``grid_coefficients`` reads a quantum model in the classical feature basis."""
+
     def test_constant_model(self):
         spec = sample_specs()[0]
-        vec = coefficient_vector(fourier_coefficients(spec, np.zeros(param_count(spec))))
+        vec = real_vector(spec, np.zeros(param_count(spec)))
         assert vec.shape == (9,)
         assert vec[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(vec[1:]).max() < 1e-12
@@ -924,13 +952,13 @@ class TestCoefficientVector:
     def test_minus_cosine_vector(self):
         """-cos x = (-1/sqrt 2) * (sqrt 2 cos x): only the cos-1 feature
         (index 1) survives."""
-        vec = coefficient_vector(fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA))
+        vec = real_vector(ONE_QUBIT, MINUS_COS_THETA)
         np.testing.assert_allclose(vec, [0.0, -1 / np.sqrt(2), 0.0], atol=1e-12)
 
     def test_univariate_round_trip(self):
         spec = sample_specs()[0]
         theta = init_parameters(spec, make_rng(50))
-        vec = coefficient_vector(fourier_coefficients(spec, theta))
+        vec = real_vector(spec, theta)
         xs = make_rng(51).uniform(-np.pi, np.pi, size=100)
 
         def features(x):
@@ -945,7 +973,7 @@ class TestCoefficientVector:
     def test_multivariate_round_trip(self):
         spec = sample_specs()[1]
         theta = init_parameters(spec, make_rng(52))
-        vec = coefficient_vector(fourier_coefficients(spec, theta))
+        vec = real_vector(spec, theta)
         assert vec.shape == (9,)
 
         def features_1d(x):
@@ -956,9 +984,36 @@ class TestCoefficientVector:
             phi = np.kron(features_1d(x[0]), features_1d(x[1]))
             assert vec @ phi == pytest.approx(evaluate(spec, theta, x), abs=1e-9)
 
-    def test_sparse_spectrum_rejected(self):
+    @pytest.mark.parametrize("spec", [
+        sample_specs()[0],
+        AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1,
+                   topology=Parallel(), encoding=exponential_weights(2)),
+        sample_specs()[3],
+    ], ids=["parallel-M1", "parallel-M2", "ring"])
+    def test_matches_complex_coefficients(self, spec):
+        """The real vector, mapped to complex form, is ``fourier_coefficients``."""
+        theta = init_parameters(spec, make_rng(55))
+        fc = fourier_coefficients(spec, theta)
+        degrees = [int(s[-1]) for s in fc.supports]
+        np.testing.assert_allclose(complex_from_real(real_vector(spec, theta), degrees),
+                                   fc.values, rtol=0, atol=1e-12)
+
+    def test_random_target_on_nyquist_grid(self):
+        for seed in (0, 1, 2):
+            target = make_random_fourier_target(81, 64, 0.05, seed)
+            vec = grid_coefficients(lambda xs: target.evaluate(xs[:, 0]), target.feature_map)
+            np.testing.assert_allclose(vec, target.coefficients, rtol=0, atol=1e-13)
+
+    def test_sparse_spectrum_recovered(self):
+        """Weights (1, 7) reach frequencies 0, 1, 6, 7, 8: the 17-entry
+        vector on the enclosing lattice is the model, with the cos and sin
+        entries of j = 2..5 zero."""
         spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
                           topology=Parallel(), encoding=EncodingSpec(weights=(1, 7)))
         theta = init_parameters(spec, make_rng(54))
-        with pytest.raises(ValueError, match="dense"):
-            coefficient_vector(fourier_coefficients(spec, theta))
+        vec = real_vector(spec, theta)
+        assert vec.shape == (17,)
+        xs = make_rng(56).uniform(-np.pi, np.pi, size=(50, 1))
+        np.testing.assert_allclose(feature_matrix(xs, FeatureMap(1, (8,))) @ vec,
+                                   evaluate_batch(spec, theta, xs), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(vec[3:11], 0.0, rtol=0, atol=1e-12)

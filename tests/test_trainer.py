@@ -11,13 +11,11 @@ from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
     feature_matrix,
-    leading_feature_projection,
 )
 from fourierqml.errors import CapacityError, DatasetParseError, TrainingError
 from fourierqml.qfflm import (
     AnsatzSpec,
     Parallel,
-    coefficient_vector,
     evaluate_batch,
     fourier_coefficients,
     init_parameters,
@@ -270,17 +268,24 @@ class TestClassicalTraining(SharedLoopChecks):
         assert record.final_loss == pytest.approx(oracle_loss, abs=1e-3)
 
     def test_projected_training_and_recovery(self):
+        """A model of n < K coefficients trains on the leading n feature
+        columns and recovers its coefficients zero-padded to K."""
         fm = FeatureMap(n_variables=1, degrees=(3,))
-        proj = leading_feature_projection(fm, 4)
-        model = ClassicalModel(coefficients=np.zeros(4), projection=proj)
+        model = ClassicalModel(coefficients=np.zeros(4))
         data = make_grid_dataset(FourierTarget(coefficients=np.eye(7)[1]), 20)
         cfg = TrainConfig(learning_rate=0.1, steps=200, seed=1, recover_coefficients=True)
         record = train(model, data, cfg, feature_map=fm)
         assert record.final_loss < 1e-4
+        assert record.final_params.shape == (4,)
+        assert record.resource_counters["parameter_dimension"] == 4
         assert record.recovered_coefficients.shape == (7,)
-        # the cos(x) feature sits inside the projected block
+        # the cos(x) feature sits inside the leading block
         assert record.recovered_coefficients[1] == pytest.approx(1.0, abs=1e-2)
+        np.testing.assert_array_equal(record.recovered_coefficients[:4], record.final_params)
         np.testing.assert_array_equal(record.recovered_coefficients[4:], 0.0)
+        # the values trained are those of the leading columns
+        phi = feature_matrix(data.inputs, fm)[:, :4]
+        assert record.final_loss == mse_loss(phi @ record.final_params, data.outputs)
 
     def test_loss_gradient_matches_finite_differences(self):
         fm = FeatureMap(n_variables=1, degrees=(2,))
@@ -298,17 +303,13 @@ class TestClassicalTraining(SharedLoopChecks):
                   - mse_loss(phi @ (c0 - step), data.outputs)) / (2 * h)
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
-    @pytest.mark.parametrize("model,width", [
-        (ClassicalModel(coefficients=np.zeros(5)), 5),
-        (ClassicalModel(coefficients=np.zeros(2), projection=np.zeros((2, 6))), 6),
-    ], ids=["unprojected", "projected"])
-    def test_dimension_mismatch(self, model, width):
-        """A model whose feature width is not the map's is refused up front,
-        not by a shape error inside the first product."""
-        with pytest.raises(ValueError,
-                           match=f"model expects {width}-dimensional features, map gives 7"):
-            train(model, make_step_dataset(16), TrainConfig(steps=1),
-                  feature_map=FeatureMap(n_variables=1, degrees=(3,)))
+    @pytest.mark.parametrize("width", [0, 8], ids=["empty", "wider-than-map"])
+    def test_dimension_mismatch(self, width):
+        """A model with no coefficients or more than the map's K features is
+        refused up front, not by a shape error inside the first product."""
+        with pytest.raises(ValueError, match=rf"dimension must be in 1\.\.7, got {width}"):
+            train(ClassicalModel(coefficients=np.zeros(width)), make_step_dataset(16),
+                  TrainConfig(steps=1), feature_map=FeatureMap(n_variables=1, degrees=(3,)))
 
     def test_shots_rejected(self):
         # a classical fit is exact; a shot count would be recorded yet never read
@@ -430,9 +431,12 @@ class TestQuantumTraining(SharedLoopChecks):
         data = make_step_dataset(12)
         cfg = TrainConfig(steps=2, seed=3, recover_coefficients=True)
         record = train(TWO_QUBIT, data, cfg)
-        expected = coefficient_vector(
-            fourier_coefficients(TWO_QUBIT, record.final_params)
-        )
+        # f = sum_n c(n) e^{-i n x} with c(+-j) = (a_j +- i b_j) / sqrt 2
+        c = fourier_coefficients(TWO_QUBIT, record.final_params).values
+        expected = np.empty(9)
+        expected[0] = c[4].real
+        expected[1::2] = np.sqrt(2) * c[5:].real
+        expected[2::2] = np.sqrt(2) * c[5:].imag
         np.testing.assert_allclose(record.recovered_coefficients, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -578,8 +582,7 @@ class TestExperiments:
                 quantum = train(TWO_QUBIT, data, TrainConfig(
                     learning_rate=0.03, steps=10, seed=seed(base_seed, ri, run, 1)))
                 classical = train(
-                    ClassicalModel(coefficients=np.zeros(6),
-                                   projection=leading_feature_projection(fm, 6)),
+                    ClassicalModel(coefficients=np.zeros(6)),
                     data,
                     TrainConfig(learning_rate=0.03, steps=10,
                                 seed=seed(base_seed, ri, run, 2)),
