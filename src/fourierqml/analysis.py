@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statevector
-from .cfflm import FeatureMap, feature_matrix
+from .cfflm import FeatureMap, grid_values
 from .errors import CapacityError
 from .qfflm import AnsatzSpec, Parallel, apply_opening, param_count
 from .spectra import exponential_weights
@@ -48,6 +48,7 @@ __all__ = [
     "DecayFit",
     "fit_decay",
     "empirical_epsilon",
+    "bicone_radius",
     "bicone_contains",
     "MembershipResult",
     "numerical_membership",
@@ -455,21 +456,27 @@ def empirical_epsilon(report: PlateauReport) -> float:
 # bounded-model geometry
 # ---------------------------------------------------------------------------
 
-def bicone_contains(c) -> bool:
-    """Exact membership for degree-1 univariate coefficient vectors.
+def bicone_radius(c) -> float:
+    """``|c1| + sqrt(2 (c2^2 + c3^2))`` for a degree-1 univariate vector.
 
-    ``(c1, c2, c3)`` scales the constant, cosine and sine features; the
-    resulting function stays within [-1, 1] iff
-    ``|c1| + sqrt(2 (c2^2 + c3^2)) <= 1`` -- a bicone with apexes at
-    ``c1 = +/-1`` and equator radius ``1/sqrt(2)``.  A 1e-12 slack keeps
-    exact boundary points inside.
+    ``(c1, c2, c3)`` scales the constant, cosine and sine features, and
+    this is the largest ``|f|`` of the resulting function, so the vectors
+    of radius at most 1 form a bicone with apexes at ``c1 = +/-1`` and
+    equator radius ``1/sqrt(2)``.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
-    return bool(abs(c[0]) + math.sqrt(2.0 * (c[1] ** 2 + c[2] ** 2)) <= 1.0 + 1e-12)
+    return float(abs(c[0]) + math.sqrt(2.0 * (c[1] ** 2 + c[2] ** 2)))
+
+
+def bicone_contains(c) -> bool:
+    """Exact membership for degree-1 univariate coefficient vectors: the
+    function stays within [-1, 1] iff ``bicone_radius(c) <= 1``.  A 1e-12
+    slack keeps exact boundary points inside."""
+    return bicone_radius(c) <= 1.0 + 1e-12
 
 
 class MembershipResult(NamedTuple):
@@ -484,13 +491,17 @@ _MAX_MEMBERSHIP_WORK = 100_000_000
 def numerical_membership(c, fm: FeatureMap, grid_points: int) -> MembershipResult:
     """Grid check that ``|c . phi(x)| <= 1`` everywhere.
 
-    Maximizes over an equispaced grid of ``grid_points`` per variable
-    (at least ``8 d_F`` to resolve the fastest oscillation) and accepts
-    when the grid maximum is at most ``1 + tolerance``.  The tolerance is
-    1e-6 plus the worst-case discretization gap ``sum_m |f''_m| h_m^2/8``
-    with the curvature bounded per variable by
-    ``sqrt(2) d_F_m^2 ||c||_1`` -- conservative, so true members near the
-    boundary are never rejected for grid reasons.
+    Maximizes over ``uniform_grid``'s ``x = -pi + 2 pi g / G`` with
+    ``G = grid_points`` per variable (at least ``8 d_F`` to resolve the
+    fastest oscillation), synthesized by ``grid_values``, and accepts
+    when the grid maximum is at most ``1 + tolerance``.  For even ``G``
+    these are the points ``2 pi g / G``; for odd ``G`` they sit half a
+    step from those, at the same spacing ``h = 2 pi / G``.  The tolerance
+    is 1e-6 plus the worst-case discretization gap
+    ``sum_m |f''_m| h^2/8``, which depends only on that spacing, with the
+    curvature bounded per variable by ``sqrt(2) d_F_m^2 ||c||_1`` --
+    conservative, so true members near the boundary are never rejected
+    for grid reasons.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (fm.dimension,):
@@ -504,9 +515,7 @@ def numerical_membership(c, fm: FeatureMap, grid_points: int) -> MembershipResul
     work = grid_points**fm.n_variables * fm.dimension
     if work > _MAX_MEMBERSHIP_WORK:
         raise CapacityError(f"membership grid needs {work:.3g} evaluations")
-    axes = [np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)] * fm.n_variables
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, fm.n_variables)
-    values = feature_matrix(mesh, fm) @ c
+    values = grid_values(c, fm, (grid_points,) * fm.n_variables)
     max_abs = float(np.abs(values).max())
     h = 2.0 * np.pi / grid_points
     norm1 = float(np.abs(c).sum())

@@ -9,8 +9,11 @@ multivariate column the Kronecker product over variables, variable 1
 major.  Feature index ``0`` is the constant, ``2j - 1`` the ``cos(j x)``
 feature and ``2j`` the ``sin(j x)`` feature per variable; this ordering
 is load-bearing, since quantum-model coefficient vectors are aligned
-with it.  ``grid_coefficients`` reads any band-limited function in this
-basis from its values on the map's uniform grid.
+with it.  ``cfflm`` owns both directions of the basis on the uniform grid
+``x = -pi + 2 pi g / G`` (``uniform_grid``): ``grid_coefficients`` reads
+any band-limited function's coefficients from its values on the map's
+own grid, and ``grid_values`` synthesizes a coefficient vector's values
+on any grid fine enough to hold it, one real FFT per variable each way.
 
 An underparametrized model of ``n < K`` coefficients weighs the leading
 ``n`` features.  A scaled Gaussian (Johnson-Lindenstrauss) map and the
@@ -34,7 +37,9 @@ __all__ = [
     "RandomProjection",
     "PcaProjection",
     "feature_matrix",
+    "uniform_grid",
     "grid_coefficients",
+    "grid_values",
     "random_projection",
     "pca_projection",
 ]
@@ -102,24 +107,30 @@ def feature_matrix(xs, fm: FeatureMap) -> np.ndarray:
     return out
 
 
+def uniform_grid(sizes) -> np.ndarray:
+    """Points ``x = -pi + 2 pi g / G_m``, ``G_m`` per variable, as rows of
+    shape (prod G_m, M), variable 1 major like ``feature_matrix``."""
+    axes = [-np.pi + 2.0 * np.pi * np.arange(g) / g for g in sizes]
+    return np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def grid_coefficients(f, fm: FeatureMap) -> np.ndarray:
     """Real coefficient vector of ``f`` in the feature basis of ``fm``.
 
     ``f`` maps inputs of shape (n, M) to n real values and must be
-    band-limited to the map's degrees.  It is sampled once on the grid
-    ``x = -pi + 2 pi g / (2 d_m + 1)``, ``2 d_m + 1`` points per variable,
-    and each variable takes one real FFT: with ``F_j`` its bins over
+    band-limited to the map's degrees.  It is sampled once on
+    ``uniform_grid``, ``2 d_m + 1`` points per variable, and each
+    variable takes one real FFT: with ``F_j`` its bins over
     ``G = 2 d_m + 1`` points, ``e^{-2 pi i j g / G} = (-1)^j e^{-i j x_g}``
     gives the constant ``F_0 / G`` and, for ``j >= 1``, the cos and sin
     coefficients ``sqrt(2) (-1)^j Re F_j / G`` and
     ``-sqrt(2) (-1)^j Im F_j / G``.  The transformed values stay real, so
     the variables go one after another.  The result ``c`` satisfies
     ``f(x) = c . phi(x)``, Kronecker ordered as in ``feature_matrix``.
+    ``grid_values`` is its inverse.
     """
     sizes = fm.per_variable_dims
-    axes = [-np.pi + 2.0 * np.pi * np.arange(g) / g for g in sizes]
-    xs = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    acc = np.asarray(f(xs), dtype=np.float64).reshape(sizes)
+    acc = np.asarray(f(uniform_grid(sizes)), dtype=np.float64).reshape(sizes)
     for axis, g in enumerate(sizes):
         bins = np.moveaxis(np.fft.rfft(acc, axis=axis), axis, 0) / g
         scale = np.sqrt(2.0) * (-1.0) ** np.arange(1, bins.shape[0])
@@ -129,6 +140,33 @@ def grid_coefficients(f, fm: FeatureMap) -> np.ndarray:
         out[1::2] = scale * bins[1:].real
         out[2::2] = -scale * bins[1:].imag
         acc = np.moveaxis(out, 0, axis)
+    return acc.ravel()
+
+
+def grid_values(c, fm: FeatureMap, sizes) -> np.ndarray:
+    """Values of ``c . phi(x)`` at the rows of ``uniform_grid(sizes)``.
+
+    The inverse of ``grid_coefficients``, on any grid of ``G_m >= 2 d_m + 1``
+    points per variable.  Frequency ``j``'s features read
+    ``sqrt(2) Re[(a_j - i b_j) e^{i j x}]`` and
+    ``e^{i j x_g} = (-1)^j e^{2 pi i j g / G}``, so each variable takes one
+    inverse real FFT of the bins ``G a_0`` and
+    ``G (-1)^j (a_j - i b_j) / sqrt(2)``.  Every ``j <= d_m`` lies below
+    the Nyquist bin ``G / 2``, so nothing aliases; a coarser grid raises
+    ``ValueError``.
+    """
+    if len(sizes) != fm.n_variables or any(g < 2 * d + 1 for g, d in zip(sizes, fm.degrees)):
+        raise ValueError(f"grid sizes {tuple(sizes)} cannot hold degrees {fm.degrees}; "
+                         "each needs at least 2 d + 1 points")
+    acc = np.asarray(c, dtype=np.float64).reshape(fm.per_variable_dims)
+    for axis, (g, degree) in enumerate(zip(sizes, fm.degrees)):
+        coef = np.moveaxis(acc, axis, -1)
+        scale = np.sqrt(2.0) * g / 2.0 * (-1.0) ** np.arange(1, degree + 1)
+        bins = np.zeros(coef.shape[:-1] + (g // 2 + 1,), dtype=np.complex128)
+        bins[..., 0] = coef[..., 0] * g
+        bins[..., 1:degree + 1].real = scale * coef[..., 1::2]
+        bins[..., 1:degree + 1].imag = -scale * coef[..., 2::2]
+        acc = np.moveaxis(np.fft.irfft(bins, g), -1, axis)
     return acc.ravel()
 
 

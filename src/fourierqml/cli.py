@@ -321,7 +321,6 @@ def _build_train_pieces(config: dict):
 
 def _train_files(record: trainer.ResultRecord) -> dict[str, str]:
     doc = dataclasses.asdict(record)
-    del doc["wall_ms"]  # wall time goes to the sidecar log only
     test = record.test_loss_trace
     trace = ([step, loss, "" if test is None else test[step]]
              for step, loss in enumerate(record.loss_trace.tolist()))
@@ -407,7 +406,7 @@ def _cmd_bicone(config: dict) -> _Outputs:
         analytic = analysis.bicone_contains(c)
         numeric = analysis.numerical_membership(c, fm, config["grid_points"]).member
         if analytic != numeric:
-            margin = abs(c[0]) + np.sqrt(2 * (c[1] ** 2 + c[2] ** 2)) - 1.0
+            margin = analysis.bicone_radius(c) - 1.0
             disagreements.append([*c, margin, int(analytic), int(numeric)])
     agree = n_samples - len(disagreements)
     return {

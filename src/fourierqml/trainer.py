@@ -1,5 +1,10 @@
 """Datasets, targets, loss, Adam, and the training loop.
 
+Grid datasets sit on ``cfflm.uniform_grid``.  A random Fourier target
+is a coefficient vector in ``cfflm``'s real basis, scaled through
+``cfflm.grid_values`` on a grid fine enough that ``|f| <= 1`` holds
+everywhere, the range of a quantum model.
+
 Both model families train through one loop: full-batch (or seeded
 random-batch) mean-squared-error gradient descent with bias-corrected
 Adam.  The loop owns batch selection, the loss and test-loss traces, the
@@ -30,13 +35,20 @@ config) pair fully determines every trace.
 from __future__ import annotations
 
 import csv
-import time
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cfflm import ClassicalModel, FeatureMap, feature_matrix, grid_coefficients
+from .cfflm import (
+    ClassicalModel,
+    FeatureMap,
+    feature_matrix,
+    grid_coefficients,
+    grid_values,
+    uniform_grid,
+)
 from .errors import DatasetParseError, TrainingError
 from .qfflm import (
     AnsatzSpec,
@@ -57,7 +69,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "ResultRecord",
-    "make_step_dataset",
     "make_random_fourier_target",
     "make_grid_dataset",
     "mse_loss",
@@ -154,44 +165,10 @@ class FourierTarget:
         return feature_matrix(x.reshape(-1, 1), self.feature_map) @ self.coefficients
 
 
-def make_step_dataset(n_points: int) -> Dataset:
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    grid = -np.pi + 2.0 * np.pi * np.arange(n_points) / n_points
-    target = StepTarget()
-    return Dataset(
-        inputs=grid[:, None],
-        outputs=target.evaluate(grid),
-        metadata={"generator": "step", "n_points": n_points},
-    )
-
-
-# grid points on which a random target's maximum |f| is normalized
-_NORM_GRID = 4096
-
-
-def _grid_values(c: np.ndarray) -> np.ndarray:
-    """A univariate feature expansion ``c`` at ``x_g = -pi + 2 pi g / G``, G = _NORM_GRID.
-
-    Frequency j's features read ``sqrt(2) Re[(a_j - i b_j) e^{i j x}]``,
-    and ``e^{i j x_g} = (-1)^j e^{2 pi i j g / G}``, so the grid values
-    are one inverse real FFT.  A frequency at or above ``G / 2`` aliases
-    onto bin ``j mod G``, and a bin above ``G / 2`` onto ``G`` minus it,
-    conjugated.  Bins 0 and ``G / 2`` have no partner, so they take only
-    the real part, at twice the weight of a paired bin.
-    """
-    half = _NORM_GRID // 2
-    j = np.arange(1, (c.size - 1) // 2 + 1)
-    z = np.sqrt(2.0) * np.where(j % 2 == 1, -1.0, 1.0) * (c[1::2] - 1j * c[2::2])
-    k = j % _NORM_GRID
-    upper = k > half
-    z[upper] = z[upper].conj()
-    k[upper] = _NORM_GRID - k[upper]
-    unpaired = (k == 0) | (k == half)
-    bins = np.zeros(half + 1, dtype=np.complex128)
-    bins[0] = c[0]
-    np.add.at(bins, k, np.where(unpaired, z.real, z / 2.0))
-    return np.fft.irfft(bins * _NORM_GRID, _NORM_GRID)
+# a random target's maximum |f| on its normalization grid, and the fewest
+# points that grid has
+_NORM_MAX = 0.95
+_NORM_POINTS = 4096
 
 
 def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> FourierTarget:
@@ -200,9 +177,14 @@ def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> F
     Draws ``kappa`` standard-Gaussian coefficients, rescales the low
     block (indices below ``split``) so that
     ``sqrt(low energy) / sqrt(high energy) = r`` exactly, then rescales
-    globally so the maximum of |f| over a dense grid of ``_NORM_GRID``
-    points is 0.95 (keeping the target strictly inside the representable
-    band |f| <= 1).
+    globally so the maximum of |f| on the normalization grid is 0.95.
+    That grid is ``uniform_grid`` with
+    ``N = max(4096, ceil(pi d / arccos 0.95))`` points, ``d = (kappa - 1) / 2``,
+    synthesized by ``grid_values``.  A degree-``d`` trigonometric
+    polynomial's supremum is at most ``sec(pi d / N)`` times its maximum
+    on ``N > 2 d`` equispaced points, and ``sec(pi d / N) <= 1 / 0.95``
+    here, so ``|f| <= 1`` everywhere: the target stays inside the
+    band a quantum model can represent.
     """
     if kappa < 3 or kappa % 2 == 0:
         raise ValueError(f"kappa must be odd and >= 3, got {kappa}")
@@ -210,27 +192,29 @@ def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> F
         raise ValueError(f"split must be in 1..{kappa - 1}, got {split}")
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
-    FeatureMap(n_variables=1, degrees=((kappa - 1) // 2,))  # the feature-dimension cap
+    degree = (kappa - 1) // 2
+    fm = FeatureMap(n_variables=1, degrees=(degree,))
+    points = max(_NORM_POINTS, math.ceil(math.pi * degree / math.acos(_NORM_MAX)))
     rng = make_rng(seed)
     c = rng.standard_normal(kappa)
     energy_low = float(np.sum(c[:split] ** 2))
     energy_high = float(np.sum(c[split:] ** 2))
     c[:split] *= r * np.sqrt(energy_high / energy_low)
-    c *= 0.95 / float(np.abs(_grid_values(c)).max())
+    c *= _NORM_MAX / float(np.abs(grid_values(c, fm, (points,))).max())
     return FourierTarget(coefficients=c, split_index=split, requested_ratio=r, seed=seed)
 
 
 def make_grid_dataset(target, n_points: int) -> Dataset:
-    """Evaluate a univariate target on an equispaced grid over [-pi, pi)."""
+    """Evaluate a univariate target on ``uniform_grid``'s ``n_points`` over [-pi, pi)."""
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
-    grid = -np.pi + 2.0 * np.pi * np.arange(n_points) / n_points
-    outputs = np.asarray(target.evaluate(grid), dtype=np.float64)
+    grid = uniform_grid((n_points,))
+    outputs = np.asarray(target.evaluate(grid[:, 0]), dtype=np.float64)
     meta = {"generator": type(target).__name__, "n_points": n_points}
     if isinstance(target, FourierTarget):
         meta["seed"] = target.seed
         meta["requested_ratio"] = target.requested_ratio
-    return Dataset(inputs=grid[:, None], outputs=outputs, metadata=meta)
+    return Dataset(inputs=grid, outputs=outputs, metadata=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +317,6 @@ class ResultRecord:
     test_loss_trace: np.ndarray | None = field(repr=False)
     final_params: np.ndarray = field(repr=False)
     resource_counters: dict
-    wall_ms: float
     recovered_coefficients: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -388,7 +371,7 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int | None) -> 
 
 
 def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, recover,
-         counters: dict, started: float) -> ResultRecord:
+         counters: dict) -> ResultRecord:
     """The training loop both model families share.
 
     ``batch(params, idx)`` returns the model values and their Jacobian on
@@ -408,7 +391,6 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
             test_loss_trace=None if test_trace is None else np.asarray(test_trace),
             final_params=state.params.copy(),
             resource_counters=counters,
-            wall_ms=(time.perf_counter() - started) * 1e3,
             recovered_coefficients=recovered,
         )
 
@@ -438,7 +420,6 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
 
 
 def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data) -> ResultRecord:
-    started = time.perf_counter()
     if data.inputs.shape[1] != spec.n_variables:
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
@@ -481,13 +462,12 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         return grid_coefficients(lambda xs: evaluate_batch(spec, params, xs),
                                  FeatureMap(spec.n_variables, degrees))
 
-    return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters, started)
+    return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters)
 
 
 def _train_classical(
     model: ClassicalModel, data: Dataset, cfg: TrainConfig, fm: FeatureMap, test_data
 ) -> ResultRecord:
-    started = time.perf_counter()
     dim = model.n_parameters
     if not 1 <= dim <= fm.dimension:
         raise ValueError(f"dimension must be in 1..{fm.dimension}, got {dim}")
@@ -529,7 +509,7 @@ def _train_classical(
         return np.concatenate([params, np.zeros(fm.dimension - dim)])
 
     return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, test_data,
-                batch, exact, recover, counters, started)
+                batch, exact, recover, counters)
 
 
 # ---------------------------------------------------------------------------

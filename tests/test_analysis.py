@@ -9,6 +9,7 @@ from fourierqml import cli
 from fourierqml.analysis import (
     advantage_criterion,
     bicone_contains,
+    bicone_radius,
     empirical_epsilon,
     fit_decay,
     numerical_membership,
@@ -20,7 +21,7 @@ from fourierqml.analysis import (
     resrc_quantum,
     variance_bounds,
 )
-from fourierqml.cfflm import FeatureMap
+from fourierqml.cfflm import FeatureMap, feature_matrix
 from fourierqml.errors import CapacityError
 from fourierqml.qfflm import AnsatzSpec, Parallel, Ring, Serial, count_gates, param_count
 from fourierqml.rng import make_rng
@@ -409,6 +410,12 @@ class TestBicone:
         with pytest.raises(ValueError):
             bicone_contains((np.inf, 0.0, 0.0))
 
+    def test_radius_is_max_abs(self):
+        c = np.array([-0.3, 0.4, -0.2])
+        xs = np.linspace(-np.pi, np.pi, 100_001)
+        values = c[0] + np.sqrt(2) * (c[1] * np.cos(xs) + c[2] * np.sin(xs))
+        assert bicone_radius(c) == pytest.approx(np.abs(values).max(), abs=1e-9)
+
 
 class TestNumericalMembership:
     FM = FeatureMap(n_variables=1, degrees=(1,))
@@ -433,6 +440,16 @@ class TestNumericalMembership:
                 disagreements += 1
                 assert abs(margin) < 1e-3
         assert disagreements < 10
+
+    @pytest.mark.parametrize("grid_points", [24, 25])
+    def test_matches_dense_maximum(self, grid_points):
+        fm = FeatureMap(n_variables=2, degrees=(2, 3))
+        c = make_rng(grid_points).standard_normal(fm.dimension) / fm.dimension
+        axis = -np.pi + 2.0 * np.pi * np.arange(grid_points) / grid_points
+        mesh = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        dense = np.abs(feature_matrix(mesh, fm) @ c).max()
+        result = numerical_membership(c, fm, grid_points)
+        assert result.max_abs == pytest.approx(dense, rel=1e-13)
 
     def test_multivariate_constant(self):
         fm = FeatureMap(n_variables=2, degrees=(1, 1))

@@ -37,7 +37,7 @@ def bench_tracer(monkeypatch):
 
 def test_every_traced_span_records_calls(bench_tracer, tmp_path):
     tracer, spans = bench_tracer
-    data = trainer.make_step_dataset(8)
+    data = trainer.make_grid_dataset(trainer.StepTarget(), 8)
     cfg = trainer.TrainConfig(steps=2, seed=0)
     spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
                       topology=Parallel(), encoding=exponential_weights(2))
@@ -78,7 +78,8 @@ def test_exact_fit_counts_match_the_record(bench_tracer):
     tracer, _ = bench_tracer
     spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
                       topology=Parallel(), encoding=exponential_weights(3))
-    record = trainer.train(spec, trainer.make_step_dataset(16), trainer.TrainConfig(steps=3, seed=0))
+    data = trainer.make_grid_dataset(trainer.StepTarget(), 16)
+    record = trainer.train(spec, data, trainer.TrainConfig(steps=3, seed=0))
     assert tracer.counters["qfflm.circuit_evals"] == record.resource_counters["circuit_evaluations"]
     for span in ("statevector.apply_ry", "statevector.apply_rz", "statevector.apply_cnot"):
         assert tracer.calls[span] > 0, span

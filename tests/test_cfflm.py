@@ -1,6 +1,6 @@
 """Classical model tests: feature-map conventions, model values as
-feature rows times coefficients, coefficient recovery from grid samples,
-and the two projection schemes."""
+feature rows times coefficients, coefficient recovery from grid samples
+and its inverse, grid synthesis, and the two projection schemes."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,10 @@ from fourierqml.cfflm import (
     FeatureMap,
     feature_matrix,
     grid_coefficients,
+    grid_values,
     pca_projection,
     random_projection,
+    uniform_grid,
 )
 from fourierqml.errors import CapacityError
 from fourierqml.rng import make_rng
@@ -121,6 +123,48 @@ class TestCrossModelConsistency:
             evaluate_batch(spec, theta, xs),
             atol=1e-9,
         )
+
+
+class TestGridValues:
+    """``grid_values`` synthesizes a coefficient vector on ``uniform_grid``."""
+
+    # (degrees, sizes): every size at Nyquist (2 d + 1), above it, even and odd
+    CASES = [
+        ((3,), (7,)),
+        ((3,), (16,)),
+        ((2, 3), (5, 7)),
+        ((2, 3), (8, 11)),
+        ((2, 1, 2), (5, 3, 5)),
+        ((2, 1, 2), (6, 9, 7)),
+    ]
+
+    def test_uniform_grid_layout(self):
+        xs = uniform_grid((4, 3))
+        assert xs.shape == (12, 2)
+        np.testing.assert_array_equal(xs[:3, 0], -np.pi)  # variable 1 major
+        np.testing.assert_allclose(xs[:3, 1], [-np.pi, -np.pi / 3, np.pi / 3])
+        np.testing.assert_allclose(np.unique(xs[:, 0]), [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
+
+    @pytest.mark.parametrize("degrees, sizes", CASES)
+    def test_matches_feature_rows(self, degrees, sizes):
+        fm = FeatureMap(n_variables=len(degrees), degrees=degrees)
+        c = make_rng(sum(sizes)).standard_normal(fm.dimension)
+        expected = feature_matrix(uniform_grid(sizes), fm) @ c
+        np.testing.assert_allclose(grid_values(c, fm, sizes), expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("degrees", [(4,), (2, 3), (2, 1, 2)])
+    def test_inverts_grid_coefficients(self, degrees):
+        fm = FeatureMap(n_variables=len(degrees), degrees=degrees)
+        c = make_rng(len(degrees)).standard_normal(fm.dimension)
+        recovered = grid_coefficients(lambda xs: grid_values(c, fm, fm.per_variable_dims), fm)
+        np.testing.assert_allclose(recovered, c, rtol=0, atol=1e-14)
+
+    def test_refuses_grid_below_nyquist(self):
+        fm = FeatureMap(n_variables=2, degrees=(2, 3))
+        for sizes in [(5, 6), (4, 7), (5,), (5, 7, 7)]:
+            with pytest.raises(ValueError, match="cannot hold degrees"):
+                grid_values(np.zeros(fm.dimension), fm, sizes)
+        assert grid_values(np.zeros(fm.dimension), fm, (5, 7)).shape == (35,)
 
 
 class TestRandomProjection:

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from fourierqml import cli, qfflm, trainer
+from fourierqml import cli, qfflm
 from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
     feature_matrix,
+    grid_values,
+    uniform_grid,
 )
 from fourierqml.errors import CapacityError, DatasetParseError, TrainingError
 from fourierqml.qfflm import (
@@ -33,7 +35,6 @@ from fourierqml.trainer import (
     load_csv_dataset,
     make_grid_dataset,
     make_random_fourier_target,
-    make_step_dataset,
     mse_loss,
     run_expressivity_comparison,
     run_step_function_study,
@@ -55,7 +56,7 @@ class TestStepDataset:
         assert target.evaluate(0.0) == 0.5
 
     def test_grid_layout(self):
-        data = make_step_dataset(8)
+        data = make_grid_dataset(StepTarget(), 8)
         assert data.inputs.shape == (8, 1)
         assert data.inputs[0, 0] == -np.pi
         np.testing.assert_allclose(np.diff(data.inputs[:, 0]), np.pi / 4)
@@ -63,7 +64,7 @@ class TestStepDataset:
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            make_step_dataset(1)
+            make_grid_dataset(StepTarget(), 1)
 
 
 class TestDataset:
@@ -121,22 +122,30 @@ class TestRandomFourierTarget:
 
 
 class TestNormalizationGrid:
-    """The inverse FFT that normalizes a random target, against its direct evaluation."""
+    """A random target is normalized on ``N = max(4096, ceil(pi d / arccos 0.95))``
+    points, so ``sec(pi d / N) <= 1 / 0.95`` bounds |f| by 1 everywhere."""
 
-    @pytest.mark.parametrize("kappa", [3, 9, 81, 4095, 4097, 4099])
+    @pytest.mark.parametrize("kappa", [3, 9, 81, 829, 831, 4095, 4097, 4099, 20001])
     def test_fft_matches_direct_evaluation(self, kappa):
-        """From kappa 4097 on, frequencies of 2048 and up alias onto the
-        4096-point grid.  The direct evaluation rounds each phase j x_g
-        to about j ulp(pi), up to 9e-13 at j = 2049, so the tolerance is
-        relative to the largest |f| the coefficients allow, sqrt(2) sum |c|."""
+        """The maximum on the normalization grid is 0.95 and the maximum
+        on a 16 kappa + 1 point grid stays at most 1.  Up to kappa 4099 the
+        synthesized values match the direct evaluation at every fifth grid
+        point; it rounds each phase j x_g to about j ulp(pi), so the
+        tolerance is relative to the largest |f| the coefficients allow,
+        sqrt(2) sum |c|."""
         target = make_random_fourier_target(kappa, (kappa + 1) // 2, 0.5, seed=kappa)
-        size = trainer._NORM_GRID
-        grid = -np.pi + 2.0 * np.pi * np.arange(size) / size
-        direct = np.concatenate([target.evaluate(grid[i:i + 512]) for i in range(0, size, 512)])
-        fast = trainer._grid_values(target.coefficients)
-        bound = np.sqrt(2.0) * np.abs(target.coefficients).sum()
-        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-13 * bound)
+        degree = (kappa - 1) // 2
+        size = max(4096, int(np.ceil(np.pi * degree / np.arccos(0.95))))
+        c, fm = target.coefficients, target.feature_map
+        fast = grid_values(c, fm, (size,))
         assert np.abs(fast).max() == pytest.approx(0.95, rel=1e-14)
+        assert np.abs(grid_values(c, fm, (16 * kappa + 1,))).max() <= 1.0
+        if kappa <= 4099:
+            grid = uniform_grid((size,))[::5]
+            direct = np.concatenate([target.evaluate(grid[i:i + 512])
+                                     for i in range(0, grid.shape[0], 512)])
+            bound = np.sqrt(2.0) * np.abs(c).sum()
+            np.testing.assert_allclose(fast[::5], direct, rtol=0, atol=1e-13 * bound)
 
     def test_feature_dimension_cap(self):
         with pytest.raises(CapacityError):
@@ -208,15 +217,15 @@ class SharedLoopChecks:
         raise NotImplementedError
 
     def test_batched_steps(self):
-        data = make_step_dataset(10)
+        data = make_grid_dataset(StepTarget(), 10)
         cfg = TrainConfig(learning_rate=0.05, steps=4, seed=0, batch_size=3)
         record = self.train(data, cfg)
         assert record.resource_counters[self.EVALUATIONS] == 4 * self.PER_POINT * 3 + 10
         assert len(record.loss_trace) == 5
 
     def test_test_loss_trace(self):
-        data = make_step_dataset(8)
-        test_data = make_step_dataset(5)
+        data = make_grid_dataset(StepTarget(), 8)
+        test_data = make_grid_dataset(StepTarget(), 5)
         record = self.train(data, TrainConfig(steps=3, seed=0), test_data=test_data)
         assert record.test_loss_trace.shape == record.loss_trace.shape
         final = mse_loss(self.predict(record.final_params, test_data.inputs), test_data.outputs)
@@ -308,12 +317,13 @@ class TestClassicalTraining(SharedLoopChecks):
         """A model with no coefficients or more than the map's K features is
         refused up front, not by a shape error inside the first product."""
         with pytest.raises(ValueError, match=rf"dimension must be in 1\.\.7, got {width}"):
-            train(ClassicalModel(coefficients=np.zeros(width)), make_step_dataset(16),
-                  TrainConfig(steps=1), feature_map=FeatureMap(n_variables=1, degrees=(3,)))
+            train(ClassicalModel(coefficients=np.zeros(width)),
+                  make_grid_dataset(StepTarget(), 16), TrainConfig(steps=1),
+                  feature_map=FeatureMap(n_variables=1, degrees=(3,)))
 
     def test_shots_rejected(self):
         # a classical fit is exact; a shot count would be recorded yet never read
-        data = make_step_dataset(8)
+        data = make_grid_dataset(StepTarget(), 8)
         with pytest.raises(ValueError, match="shots"):
             self.train(data, TrainConfig(steps=2, shots=5))
 
@@ -340,7 +350,7 @@ class TestQuantumTraining(SharedLoopChecks):
         with warnings.catch_warnings(), pytest.raises(
                 TrainingError, match="non-finite parameters after 2 steps") as excinfo:
             warnings.simplefilter("error")
-            train(spec, make_step_dataset(40), cfg)
+            train(spec, make_grid_dataset(StepTarget(), 40), cfg)
         record = excinfo.value.record
         assert record.config["aborted"] == "divergence"
         assert len(record.loss_trace) == 2
@@ -381,7 +391,7 @@ class TestQuantumTraining(SharedLoopChecks):
             assert grad[i] == pytest.approx(fd, abs=1e-5)
 
     def test_counters_track_evaluations(self):
-        data = make_step_dataset(6)
+        data = make_grid_dataset(StepTarget(), 6)
         cfg = TrainConfig(learning_rate=0.05, steps=3, seed=0)
         record = train(TWO_QUBIT, data, cfg)
         n_tp = 8
@@ -392,7 +402,7 @@ class TestQuantumTraining(SharedLoopChecks):
         assert len(record.loss_trace) == 4  # pre-update losses plus final
 
     def test_shot_sampled_run_is_deterministic(self):
-        data = make_step_dataset(8)
+        data = make_grid_dataset(StepTarget(), 8)
         cfg = TrainConfig(learning_rate=0.05, steps=5, seed=42, shots=64)
         first = train(TWO_QUBIT, data, cfg)
         second = train(TWO_QUBIT, data, cfg)
@@ -401,14 +411,14 @@ class TestQuantumTraining(SharedLoopChecks):
         assert first.resource_counters["shots_drawn"] == 5 * 17 * 8 * 64
 
     def test_different_seeds_differ(self):
-        data = make_step_dataset(8)
+        data = make_grid_dataset(StepTarget(), 8)
         a = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=0))
         b = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=1))
         assert not np.array_equal(a.final_params, b.final_params)
 
     def test_nyquist_guard(self):
         # degree 4 spectrum needs 9 distinct points; 7 is too few
-        data = make_step_dataset(7)
+        data = make_grid_dataset(StepTarget(), 7)
         cfg = TrainConfig(steps=1, seed=0, recover_coefficients=True)
         with pytest.raises(ValueError, match="alias"):
             train(TWO_QUBIT, data, cfg)
@@ -424,11 +434,11 @@ class TestQuantumTraining(SharedLoopChecks):
             raise AssertionError("spectrum enumerated")
 
         monkeypatch.setattr(fourierqml.qfflm, "spectrum", refuse)
-        record = train(TWO_QUBIT, make_step_dataset(6), TrainConfig(steps=2, seed=0))
+        record = train(TWO_QUBIT, make_grid_dataset(StepTarget(), 6), TrainConfig(steps=2, seed=0))
         assert len(record.loss_trace) == 3
 
     def test_recovered_coefficients_match_spectral_analysis(self):
-        data = make_step_dataset(12)
+        data = make_grid_dataset(StepTarget(), 12)
         cfg = TrainConfig(steps=2, seed=3, recover_coefficients=True)
         record = train(TWO_QUBIT, data, cfg)
         # f = sum_n c(n) e^{-i n x} with c(+-j) = (a_j +- i b_j) / sqrt 2
@@ -446,7 +456,7 @@ class TestQuantumTraining(SharedLoopChecks):
 
     def test_unknown_model_type(self):
         with pytest.raises(TypeError):
-            train(object(), make_step_dataset(4), TrainConfig(steps=1))
+            train(object(), make_grid_dataset(StepTarget(), 4), TrainConfig(steps=1))
 
     @pytest.mark.parametrize("batch_size", [None, 50])
     def test_diagonal_engine_fit_matches_adjoint_fit(self, monkeypatch, batch_size):
@@ -468,9 +478,9 @@ class TestResultRecord:
     """A record as the CLI writes it: ``result.json`` and ``trace.csv``."""
 
     def _files(self):
-        data = make_step_dataset(6)
+        data = make_grid_dataset(StepTarget(), 6)
         record = train(TWO_QUBIT, data, TrainConfig(steps=2, seed=0),
-                       test_data=make_step_dataset(4))
+                       test_data=make_grid_dataset(StepTarget(), 4))
         return record, cli._train_files(record)
 
     def test_json_round_trip(self):
