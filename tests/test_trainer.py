@@ -129,8 +129,10 @@ class TestNormalizationGrid:
     def test_fft_matches_direct_evaluation(self, kappa):
         """The maximum on the normalization grid is 0.95 and the maximum
         on a 16 kappa + 1 point grid stays at most 1.  Up to kappa 4099 the
-        synthesized values match the direct evaluation at every fifth grid
-        point; it rounds each phase j x_g to about j ulp(pi), so the
+        synthesized values match the direct evaluation at every
+        (size // 4096)-th grid point, about 4096 points: every point for
+        kappa <= 829, where the grid is the 4096-point one.  The direct
+        evaluation rounds each phase j x_g to about j ulp(pi), so the
         tolerance is relative to the largest |f| the coefficients allow,
         sqrt(2) sum |c|."""
         target = make_random_fourier_target(kappa, (kappa + 1) // 2, 0.5, seed=kappa)
@@ -141,11 +143,12 @@ class TestNormalizationGrid:
         assert np.abs(fast).max() == pytest.approx(0.95, rel=1e-14)
         assert np.abs(grid_values(c, fm, (16 * kappa + 1,))).max() <= 1.0
         if kappa <= 4099:
-            grid = uniform_grid((size,))[::5]
+            step = max(1, size // 4096)
+            grid = uniform_grid((size,))[::step]
             direct = np.concatenate([target.evaluate(grid[i:i + 512])
                                      for i in range(0, grid.shape[0], 512)])
             bound = np.sqrt(2.0) * np.abs(c).sum()
-            np.testing.assert_allclose(fast[::5], direct, rtol=0, atol=1e-13 * bound)
+            np.testing.assert_allclose(fast[::step], direct, rtol=0, atol=1e-13 * bound)
 
     def test_feature_dimension_cap(self):
         with pytest.raises(CapacityError):
