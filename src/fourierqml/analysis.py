@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statevector
-from .cfflm import FeatureMap, grid_values
+from .cfflm import MAX_POINTS, FeatureMap, grid_values
 from .errors import CapacityError
 from .qfflm import AnsatzSpec, Parallel, apply_opening, param_count
 from .spectra import exponential_weights
@@ -405,12 +405,14 @@ def fit_decay(total_qubits, mean_sq_values) -> DecayFit:
 
     ``alpha = exp(-slope)`` is the per-qubit concentration base; Haar
     blocks give ``<f^2> = 1/(d+1)`` with ``d = 2^(MN)``, hence ``alpha``
-    close to 2.
+    close to 2.  A line through one size is not determined, so fewer than
+    two distinct sizes raise ``ValueError``.
     """
     total_qubits = np.asarray(total_qubits, dtype=np.float64)
     mean_sq_values = np.asarray(mean_sq_values, dtype=np.float64)
-    if total_qubits.size < 2:
-        raise ValueError("need at least two sizes to fit a decay")
+    distinct = len(set(total_qubits.tolist()))  # np.unique would import numpy.ma
+    if distinct < 2:
+        raise ValueError(f"need at least two sizes to fit a decay, got {distinct} distinct")
     if np.any(mean_sq_values <= 0):
         raise ValueError("mean-square values must be positive")
     slope, intercept = np.polyfit(total_qubits, np.log(mean_sq_values), 1)
@@ -485,9 +487,6 @@ class MembershipResult(NamedTuple):
     tolerance: float
 
 
-_MAX_MEMBERSHIP_WORK = 100_000_000
-
-
 def numerical_membership(c, fm: FeatureMap, grid_points: int) -> MembershipResult:
     """Grid check that ``|c . phi(x)| <= 1`` everywhere.
 
@@ -501,7 +500,8 @@ def numerical_membership(c, fm: FeatureMap, grid_points: int) -> MembershipResul
     ``sum_m |f''_m| h^2/8``, which depends only on that spacing, with the
     curvature bounded per variable by ``sqrt(2) d_F_m^2 ||c||_1`` --
     conservative, so true members near the boundary are never rejected
-    for grid reasons.
+    for grid reasons.  A grid of more than ``cfflm.MAX_POINTS`` (10^7)
+    points raises ``CapacityError``.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (fm.dimension,):
@@ -512,9 +512,9 @@ def numerical_membership(c, fm: FeatureMap, grid_points: int) -> MembershipResul
             f"grid_points must be >= {8 * max(1, max_degree)} to resolve degree "
             f"{max_degree}, got {grid_points}"
         )
-    work = grid_points**fm.n_variables * fm.dimension
-    if work > _MAX_MEMBERSHIP_WORK:
-        raise CapacityError(f"membership grid needs {work:.3g} evaluations")
+    points = grid_points**fm.n_variables
+    if points > MAX_POINTS:
+        raise CapacityError(f"membership grid of {points} points exceeds cap {MAX_POINTS}")
     values = grid_values(c, fm, (grid_points,) * fm.n_variables)
     max_abs = float(np.abs(values).max())
     h = 2.0 * np.pi / grid_points

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import CapacityError
 
 __all__ = [
+    "MAX_POINTS",
     "FeatureMap",
     "ClassicalModel",
     "RandomProjection",
@@ -44,7 +45,10 @@ __all__ = [
     "pca_projection",
 ]
 
-_MAX_DIMENSION = 10_000_000
+# Cap on a feature map's dimension K^M, which is also the number of points
+# ``grid_coefficients`` samples; ``analysis.numerical_membership`` caps its
+# grid's points with it too.
+MAX_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,8 @@ class FeatureMap:
         if any(d < 0 for d in degrees):
             raise ValueError(f"degrees must be >= 0, got {degrees}")
         object.__setattr__(self, "degrees", degrees)
-        if self.dimension > _MAX_DIMENSION:
-            raise CapacityError(
-                f"feature dimension {self.dimension} exceeds cap {_MAX_DIMENSION}"
-            )
+        if self.dimension > MAX_POINTS:
+            raise CapacityError(f"feature dimension {self.dimension} exceeds cap {MAX_POINTS}")
 
     @property
     def per_variable_dims(self) -> tuple[int, ...]:

@@ -21,8 +21,9 @@ the strings ``"NaN"``, ``"Infinity"`` and ``"-Infinity"`` in JSON, which
 has no number for them, and as ``nan``/``inf`` in CSV.
 
 Exit codes: 0 success, 2 usage or config error (a value the library
-rejects included), 3 divergence during training (a diverged ``train``
-still writes its partial trace), 4 capacity exceeded.
+rejects and an output that cannot be written included), 3 divergence
+during training (a diverged ``train`` still writes its partial trace),
+4 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -543,6 +544,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"{args.command}: capacity exceeded: {exc}", file=sys.stderr)
         return _EXIT_CAPACITY
+    except OSError as exc:  # a config that cannot be read is a ConfigError
+        print(f"{args.command}: cannot write outputs: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
 
 
 if __name__ == "__main__":

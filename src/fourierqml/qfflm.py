@@ -7,6 +7,9 @@ interleaves trainable blocks with data-encoding rotations,
 
 which is always a multivariate Fourier series whose frequencies are
 fixed by the integer encoding weights (see :mod:`fourierqml.spectra`).
+``fourier_coefficients`` reads that series in ``cfflm``'s real feature
+basis, the one the classical model is trained in, from the model's
+values on the basis's uniform grid.
 
 Three circuit topologies are provided:
 
@@ -72,15 +75,15 @@ the exact-gradient oracle (``gradient_parameter_shift``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
-from math import prod
 
 import numpy as np
 
+from .cfflm import FeatureMap, grid_coefficients
 from .errors import CapacityError
-from .spectra import EncodingSpec, FrequencySpectrum, spectrum
+from .spectra import EncodingSpec
 from .statevector import (
     MAX_QUBITS,
     apply_cnot,
@@ -95,7 +98,6 @@ __all__ = [
     "Serial",
     "Ring",
     "AnsatzSpec",
-    "FourierCoefficients",
     "param_count",
     "count_gates",
     "apply_opening",
@@ -107,7 +109,6 @@ __all__ = [
     "fourier_coefficients",
 ]
 
-_MAX_GRID = 10_000_000
 # One complex multiply-add inside a matrix product costs about 1/20 of an
 # amplitude update by a gate kernel.  Timed with one BLAS thread on a
 # 2-core Xeon, the ratio was 30-55 at 6-8 qubits; the low end keeps the
@@ -241,8 +242,11 @@ class AnsatzSpec:
             return self.encoding[m - 1]
         return self.encoding  # per-block weights, shared by every variable
 
-    def per_variable_spectra(self) -> tuple[FrequencySpectrum, ...]:
-        return tuple(spectrum(self.variable_encoding(m)) for m in range(1, self.n_variables + 1))
+    @property
+    def weight_sums(self) -> tuple[int, ...]:
+        """Per-variable weight sums: the degrees of the dense lattice that
+        encloses every frequency the encoding reaches."""
+        return tuple(self.variable_encoding(m).weight_sum for m in range(1, self.n_variables + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -750,99 +754,24 @@ def gradient_parameter_shift(spec: AnsatzSpec, theta, x) -> np.ndarray:
 # Fourier coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Complex Fourier data of a model, ``f(x) = sum_n c_n exp(-i n.x)``.
+def fourier_coefficients(spec: AnsatzSpec, theta, fm: FeatureMap | None = None) -> np.ndarray:
+    """The model's real coefficient vector in the feature basis of ``fm``.
 
-    ``values[i1, ..., iM]`` is the coefficient at frequency
-    ``(supports[0][i1], ..., supports[M-1][iM])``.  ``residual`` is the
-    largest coefficient magnitude found outside the model's frequency
-    lattice on the analysis grid (zero up to DFT rounding for a faithful
-    band-limited model).
-    """
-
-    n_variables: int
-    supports: tuple[np.ndarray, ...] = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    residual: float
-
-    def reality_deviation(self) -> float:
-        """max |c(-n) - conj(c(n))|; zero for a real-valued model."""
-        flipped = self.values[tuple(slice(None, None, -1) for _ in range(self.values.ndim))]
-        return float(np.abs(self.values - flipped.conj()).max())
-
-    def synthesize(self, x) -> np.ndarray | float:
-        """Evaluate the series at inputs ``x`` of shape (M,) or (n, M)."""
-        xs = np.asarray(x, dtype=np.float64)
-        scalar = xs.ndim == 1
-        if scalar:
-            xs = xs[None, :]
-        if xs.shape[1] != self.n_variables:
-            raise ValueError(f"inputs must have {self.n_variables} columns")
-        phase = np.exp(-1j * xs[:, 0][:, None] * self.supports[0][None, :])
-        acc = np.einsum("dk,k...->d...", phase, self.values)
-        for m in range(1, self.n_variables):
-            phase = np.exp(-1j * xs[:, m][:, None] * self.supports[m][None, :])
-            acc = np.einsum("dk,dk...->d...", phase, acc)
-        out = acc.real
-        return float(out[0]) if scalar else out
-
-
-def fourier_coefficients(
-    spec: AnsatzSpec,
-    theta,
-    grid_sizes: int | list[int] | None = None,
-) -> FourierCoefficients:
-    """Exact Fourier coefficients by DFT over a uniform grid on [-pi, pi)^M.
-
-    The default grid of ``2 d_F + 1`` points per variable is exact for a
-    band-limited model of per-variable degree ``d_F``.  Larger grids
-    expose any out-of-band mass through the ``residual`` field, which is
-    how the band-limit property is verified.
+    ``fm`` defaults to ``FeatureMap(M, weight sums)``, the dense lattice
+    that encloses every frequency the encoding reaches, and the vector
+    ``c`` satisfies ``f(x) = c . phi(x)`` as in ``cfflm.feature_matrix``.
+    A larger map is the band-limit check: its entries at frequencies
+    outside ``spectrum(...).support``, the holes of a sparse spectrum
+    included, vanish up to rounding.  A map below some variable's weight
+    sum would alias and raises ``ValueError``.  The model is evaluated
+    once per point of the map's grid (``cfflm.grid_coefficients``), which
+    ``FeatureMap`` caps at 10^7 points.
     """
     theta = _as_theta(spec, theta)
-    per_var = spec.per_variable_spectra()
-    degrees = [s.d_f for s in per_var]
-    m_vars = spec.n_variables
-    if grid_sizes is None:
-        sizes = [2 * d + 1 for d in degrees]
-    elif isinstance(grid_sizes, int):
-        sizes = [grid_sizes] * m_vars
-    else:
-        sizes = [int(g) for g in grid_sizes]
-        if len(sizes) != m_vars:
-            raise ValueError(f"need {m_vars} grid sizes, got {len(sizes)}")
-    for g, d in zip(sizes, degrees):
-        if g < 2 * d + 1:
-            raise ValueError(f"grid size {g} below Nyquist requirement {2 * d + 1}")
-    total = prod(sizes)
-    if total > _MAX_GRID:
-        raise CapacityError(f"evaluation grid of {total} points exceeds cap {_MAX_GRID}")
-
-    axes = [-np.pi + 2.0 * np.pi * np.arange(g) / g for g in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xs = np.stack([g.ravel() for g in mesh], axis=-1)
-    vals = evaluate_batch(spec, theta, xs).reshape(sizes)
-
-    c_full = np.fft.ifftn(vals)
-    # with x_g = -pi + 2 pi g / G:  c_n = (-1)^n * ifft(f)[n mod G]
-    freq_axes = []
-    for axis, g in enumerate(sizes):
-        freqs = np.rint(np.fft.fftfreq(g) * g).astype(np.int64)
-        freq_axes.append(freqs)
-        sign = np.where(freqs % 2 == 0, 1.0, -1.0)
-        shape = [1] * m_vars
-        shape[axis] = g
-        c_full = c_full * sign.reshape(shape)
-
-    supports = tuple(s.support.copy() for s in per_var)
-    gather = [np.mod(sup, g) for sup, g in zip(supports, sizes)]
-    values = c_full[np.ix_(*gather)]
-    on_lattice = np.zeros(sizes, dtype=bool)
-    on_lattice[np.ix_(*gather)] = True
-    off = ~on_lattice
-    residual = float(np.abs(c_full[off]).max()) if off.any() else 0.0
-    return FourierCoefficients(
-        n_variables=m_vars, supports=supports, values=values, residual=residual
-    )
-
+    sums = spec.weight_sums
+    if fm is None:
+        fm = FeatureMap(spec.n_variables, sums)
+    elif fm.n_variables != spec.n_variables or any(d < s for d, s in zip(fm.degrees, sums)):
+        raise ValueError(f"feature map degrees {fm.degrees} would alias a model whose "
+                         f"weight sums are {sums}; each degree needs at least its sum")
+    return grid_coefficients(lambda xs: evaluate_batch(spec, theta, xs), fm)

@@ -45,7 +45,6 @@ from .cfflm import (
     ClassicalModel,
     FeatureMap,
     feature_matrix,
-    grid_coefficients,
     grid_values,
     uniform_grid,
 )
@@ -55,6 +54,7 @@ from .qfflm import (
     Parallel,
     count_gates,
     evaluate_batch,
+    fourier_coefficients,
     init_parameters,
     param_count,
     values_and_jacobian,
@@ -424,9 +424,8 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
         )
-    degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
     if cfg.recover_coefficients:
-        _nyquist_check(data.inputs, degrees, cfg.allow_sub_nyquist)
+        _nyquist_check(data.inputs, spec.weight_sums, cfg.allow_sub_nyquist)
     rng = make_rng(cfg.seed)
     theta = init_parameters(spec, rng)
     n_tp = param_count(spec)
@@ -459,8 +458,7 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         return evaluate_batch(spec, params, data.inputs)
 
     def recover(params):
-        return grid_coefficients(lambda xs: evaluate_batch(spec, params, xs),
-                                 FeatureMap(spec.n_variables, degrees))
+        return fourier_coefficients(spec, params)
 
     return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters)
 

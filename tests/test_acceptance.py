@@ -101,6 +101,20 @@ def test_01_spectrum_size_law():
 # 02 -- band limit
 # ---------------------------------------------------------------------------
 
+def _off_lattice_mass(c, fm, d_f):
+    """``N_off * ||off-lattice entries||_2`` of a real coefficient vector on
+    ``fm`` for a dense spectrum of degree ``d_f`` in every variable.
+
+    The real-to-complex change of basis is unitary and maps the off-lattice
+    frequencies onto themselves, so this bounds ``N_off`` times the largest
+    off-lattice complex coefficient from above.
+    """
+    on = np.zeros(fm.per_variable_dims, dtype=bool)
+    on[(slice(0, 2 * d_f + 1),) * fm.n_variables] = True
+    off = c.reshape(fm.per_variable_dims)[~on]
+    return off.size * float(np.linalg.norm(off))
+
+
 def test_02_band_limit():
     """50 random parameter draws on the 4-qubit exponential parallel
     model: total Fourier mass outside the declared 81-frequency lattice,
@@ -108,13 +122,12 @@ def test_02_band_limit():
     start = time.perf_counter()
     spec = AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1,
                       topology=Parallel(), encoding=exponential_weights(4))
-    grid = 4 * 40 + 3  # twice the Nyquist grid, so off-lattice bins exist
-    off_bins = grid - 81
+    fm = FeatureMap(1, (2 * 40 + 1,))  # twice the Nyquist grid, so off-lattice entries exist
     worst_mass = 0.0
     for seed in range(50):
         theta = init_parameters(spec, make_rng(seed))
-        fc = fourier_coefficients(spec, theta, grid_sizes=grid)
-        worst_mass = max(worst_mass, fc.residual * off_bins)
+        c = fourier_coefficients(spec, theta, fm)
+        worst_mass = max(worst_mass, _off_lattice_mass(c, fm, 40))
     elapsed = time.perf_counter() - start
     ok = worst_mass < 1e-10 and elapsed < 30.0
     _verdict("02 band-limit", ok,
@@ -432,9 +445,8 @@ def test_11_reupload_smoke():
                        rotation_params=3)
     theta = init_parameters(small, make_rng(7))
     d_f = 4  # weights 1 and 3 reach at most +-4 per variable
-    grid = 4 * d_f + 3
-    fc = fourier_coefficients(small, theta, grid_sizes=grid)
-    mass = fc.residual * (grid**3 - (2 * d_f + 1)**3)
+    fm = FeatureMap(3, (2 * d_f + 1,) * 3)
+    mass = _off_lattice_mass(fourier_coefficients(small, theta, fm), fm, d_f)
     ok = ok and mass < 1e-10
     elapsed = time.perf_counter() - start
     _verdict("11 reupload-smoke", ok,

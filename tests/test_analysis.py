@@ -386,6 +386,11 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             fit_decay([2, 4], [0.5, -0.1])
 
+    def test_one_distinct_size_rejected(self):
+        # a least-squares line through one abscissa is not determined
+        with pytest.raises(ValueError, match="two sizes"):
+            fit_decay([3, 3], [0.1, 0.12])
+
     def test_sweep_attaches_alpha(self):
         reports, fit = plateau_sweep((1, 2), 300, make_rng(6))
         assert reports[0].alpha == fit.alpha
@@ -466,6 +471,13 @@ class TestNumericalMembership:
         fm = FeatureMap(n_variables=3, degrees=(40, 40, 40))
         with pytest.raises(CapacityError):
             numerical_membership(np.zeros(fm.dimension), fm, 512)
+
+    def test_cap_counts_grid_points_only(self):
+        # 40000 points of a 10001-feature map: one synthesis, no feature matrix
+        result = numerical_membership(np.zeros(10001), FeatureMap(1, (5000,)), 40000)
+        assert result.member and result.max_abs == 0.0
+        with pytest.raises(CapacityError, match="points"):
+            numerical_membership(np.zeros(3), self.FM, 10_000_001)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -590,9 +590,10 @@ class TestLibraryRejections:
         }, "shots applies to quantum models only"),
         ("compare", lambda out: compare_config(out, split=12), "split must be in 1..8"),
         ("plateau", lambda out: plateau_config(out, qubit_counts=[2]), "two sizes"),
+        ("plateau", lambda out: plateau_config(out, qubit_counts=[3, 3]), "two sizes"),
     ], ids=["train-kappa", "train-dimension", "train-encoding", "train-sub-nyquist",
             "train-even-coefficients", "train-classical-shots", "compare-split",
-            "plateau-one-count"])
+            "plateau-one-count", "plateau-repeated-count"])
     def test_exit_code_and_message(self, tmp_path, capsys, command, make_doc, message):
         out = tmp_path / "out"
         config = write_config(tmp_path, make_doc(out))
@@ -601,6 +602,25 @@ class TestLibraryRejections:
         assert err.startswith(f"{command}: ")
         assert message in err
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a one-line config error."""
+
+    def test_spectrum_output_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert main(["spectrum", "--exp", "2", "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spectrum: cannot write outputs: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_output_dir_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        config = write_config(tmp_path, plateau_config(blocker / "run"))
+        assert main(["plateau", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plateau: cannot write outputs: ") and err.count("\n") == 1
 
 
 class TestConfigBinding:

@@ -26,7 +26,7 @@ from fourierqml.qfflm import (
     values_and_jacobian,
 )
 from fourierqml.rng import make_rng
-from fourierqml.spectra import EncodingSpec, exponential_weights, naive_weights
+from fourierqml.spectra import EncodingSpec, exponential_weights, naive_weights, spectrum
 from fourierqml.statevector import expectation_z, sample_expectation_z
 from fourierqml.trainer import make_random_fourier_target
 
@@ -814,59 +814,73 @@ class TestGradient:
 # Fourier structure
 # ---------------------------------------------------------------------------
 
+def complex_from_real(vec, degrees):
+    """Coefficients ``c(n)`` of ``sum_n c(n) e^{-i n.x}`` on the dense lattice.
+
+    Per variable ``c(0) = a_0`` and ``c(+-j) = (a_j +- i b_j) / sqrt 2``,
+    with ``a_j`` and ``b_j`` the cos and sin entries of ``vec``.
+    """
+    acc = vec.reshape([2 * d + 1 for d in degrees]).astype(np.complex128)
+    for axis, d in enumerate(degrees):
+        u = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
+        u[d, 0] = 1.0
+        for j in range(1, d + 1):
+            u[d + j, 2 * j - 1] = u[d - j, 2 * j - 1] = 1 / np.sqrt(2)
+            u[d + j, 2 * j] = 1j / np.sqrt(2)
+            u[d - j, 2 * j] = -1j / np.sqrt(2)
+        acc = np.moveaxis(np.tensordot(u, acc, axes=(1, axis)), 0, axis)
+    return acc
+
+
+def off_band(spec, fm):
+    """Mask of the entries of a real vector on ``fm`` at frequencies outside
+    the model's spectrum; the holes of a sparse spectrum are outside."""
+    inside = np.ones(1, dtype=bool)
+    for m, degree in enumerate(fm.degrees, start=1):
+        frequency = (np.arange(2 * degree + 1) + 1) // 2  # of entries 0, 2j - 1, 2j
+        axis = np.isin(frequency, spectrum(spec.variable_encoding(m)).support)
+        inside = (inside[:, None] & axis[None, :]).ravel()
+    return ~inside
+
+
 class TestFourierCoefficients:
+    """The model's real vector, and through ``complex_from_real`` its
+    complex coefficients, against independently known values."""
+
     def test_constant_model(self):
         spec = sample_specs()[0]
-        theta = np.zeros(param_count(spec))
-        fc = fourier_coefficients(spec, theta)
-        mid = len(fc.supports[0]) // 2
-        assert fc.values[mid] == pytest.approx(1.0, abs=1e-12)
-        others = np.delete(fc.values, mid)
-        assert np.abs(others).max() < 1e-12
+        c = complex_from_real(fourier_coefficients(spec, np.zeros(param_count(spec))), [4])
+        assert c[4] == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(np.delete(c, 4)).max() < 1e-12
 
     def test_minus_cosine_coefficients(self):
-        fc = fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA)
-        np.testing.assert_array_equal(fc.supports[0], [-1, 0, 1])
-        np.testing.assert_allclose(fc.values, [-0.5, 0.0, -0.5], atol=1e-12)
+        c = complex_from_real(fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA), [1])
+        np.testing.assert_allclose(c, [-0.5, 0.0, -0.5], atol=1e-12)
 
     @pytest.mark.parametrize("spec_idx", [0, 1, 2, 3])
     def test_band_limit_on_oversized_grid(self, spec_idx):
-        """Out-of-band DFT mass must vanish: sampling well beyond the
-        Nyquist grid exposes any frequency outside the predicted
+        """Out-of-band mass must vanish: a map of twice the degree, read
+        on its own grid, exposes any frequency outside the predicted
         spectrum.  This also covers encoding-position independence,
         since serial/ring reuploads must land in the same lattice as a
         parallel encoding with the same weight multiset."""
         spec = sample_specs()[spec_idx]
         theta = init_parameters(spec, make_rng(40 + spec_idx))
-        degrees = [s.d_f for s in spec.per_variable_spectra()]
-        sizes = [4 * d + 3 for d in degrees]
-        fc = fourier_coefficients(spec, theta, grid_sizes=sizes)
-        assert fc.residual < 1e-10
+        fm = FeatureMap(spec.n_variables, [2 * s + 1 for s in spec.weight_sums])
+        vec = fourier_coefficients(spec, theta, fm)
+        assert np.linalg.norm(vec[off_band(spec, fm)]) < 1e-10
+        assert np.abs(vec).max() > 1e-3  # not vacuous: the model has in-band mass
 
-    def test_reality(self):
-        spec = sample_specs()[0]
-        theta = init_parameters(spec, make_rng(41))
-        fc = fourier_coefficients(spec, theta)
-        assert fc.reality_deviation() < 1e-12
-
-    def test_synthesis_matches_evaluate(self):
-        for spec in sample_specs()[:2]:
-            theta = init_parameters(spec, make_rng(42))
-            fc = fourier_coefficients(spec, theta)
-            xs = make_rng(43).uniform(-np.pi, np.pi, size=(50, spec.n_variables))
-            np.testing.assert_allclose(
-                fc.synthesize(xs), evaluate_batch(spec, theta, xs), atol=1e-9
-            )
-
-    def test_synthesis_of_one_point_is_a_float(self):
-        # an input of shape (M,) is one point and gives a Python float
-        spec = sample_specs()[1]
-        theta = init_parameters(spec, make_rng(42))
-        fc = fourier_coefficients(spec, theta)
-        x = make_rng(43).uniform(-np.pi, np.pi, size=spec.n_variables)
-        value = fc.synthesize(x)
-        assert isinstance(value, float)
-        assert value == pytest.approx(evaluate_batch(spec, theta, x[None, :])[0], abs=1e-9)
+    def test_band_limit_with_spectral_holes(self):
+        """Weights (1, 7) reach 0, 1, 6, 7, 8: on a degree-17 map the
+        frequencies 2..5 and 9..17 are out of band."""
+        spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
+                          topology=Parallel(), encoding=EncodingSpec(weights=(1, 7)))
+        fm = FeatureMap(1, (17,))
+        off = off_band(spec, fm)
+        assert off.sum() == 2 * 4 + 2 * 9
+        vec = fourier_coefficients(spec, init_parameters(spec, make_rng(45)), fm)
+        assert np.linalg.norm(vec[off]) < 1e-10
 
     @pytest.mark.parametrize("spec", [
         JACOBIAN_SPECS["parallel"],
@@ -894,57 +908,32 @@ class TestFourierCoefficients:
         a = w1[:, 0]
         o = w2.conj().T @ (z[:, None] * w2)
         terms = a.conj()[:, None] * o * a[None, :]
-        fc = fourier_coefficients(spec, theta)
-        expected = np.zeros_like(fc.values)
-        offsets = [int(-s[0]) for s in fc.supports]
+        degrees = spec.weight_sums
+        c = complex_from_real(fourier_coefficients(spec, theta), degrees)
+        expected = np.zeros_like(c)
         for j in range(1 << n):
             for k in range(1 << n):
                 omega = (two_lam[j] - two_lam[k]) // 2
-                expected[tuple(int(w) + o for w, o in zip(omega, offsets))] += terms[j, k]
-        np.testing.assert_allclose(fc.values, expected, rtol=0, atol=1e-12)
+                expected[tuple(int(w) + d for w, d in zip(omega, degrees))] += terms[j, k]
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12)
 
     def test_grid_capacity(self):
         spec = sample_specs()[3]
-        theta = np.zeros(param_count(spec))
         with pytest.raises(CapacityError):
-            fourier_coefficients(spec, theta, grid_sizes=[4001, 4001])
+            fourier_coefficients(spec, np.zeros(param_count(spec)), FeatureMap(2, (2000, 2000)))
 
     def test_sub_nyquist_grid_rejected(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA, grid_sizes=2)
-
-
-def real_vector(spec, theta):
-    """The model's real coefficient vector on the lattice its weight sums enclose."""
-    degrees = [spec.variable_encoding(m).weight_sum for m in range(1, spec.n_variables + 1)]
-    return grid_coefficients(lambda xs: evaluate_batch(spec, theta, xs),
-                             FeatureMap(spec.n_variables, degrees))
-
-
-def complex_from_real(vec, degrees):
-    """Coefficients ``c(n)`` of ``sum_n c(n) e^{-i n.x}`` on the dense lattice.
-
-    Per variable ``c(0) = a_0`` and ``c(+-j) = (a_j +- i b_j) / sqrt 2``,
-    with ``a_j`` and ``b_j`` the cos and sin entries of ``vec``.
-    """
-    acc = vec.reshape([2 * d + 1 for d in degrees]).astype(np.complex128)
-    for axis, d in enumerate(degrees):
-        u = np.zeros((2 * d + 1, 2 * d + 1), dtype=np.complex128)
-        u[d, 0] = 1.0
-        for j in range(1, d + 1):
-            u[d + j, 2 * j - 1] = u[d - j, 2 * j - 1] = 1 / np.sqrt(2)
-            u[d + j, 2 * j] = 1j / np.sqrt(2)
-            u[d - j, 2 * j] = -1j / np.sqrt(2)
-        acc = np.moveaxis(np.tensordot(u, acc, axes=(1, axis)), 0, axis)
-    return acc
+        for fm in (FeatureMap(1, (0,)), FeatureMap(2, (1, 1))):
+            with pytest.raises(ValueError, match="alias"):
+                fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA, fm)
 
 
 class TestCoefficientVector:
-    """``grid_coefficients`` reads a quantum model in the classical feature basis."""
+    """``fourier_coefficients`` reads a quantum model in the classical feature basis."""
 
     def test_constant_model(self):
         spec = sample_specs()[0]
-        vec = real_vector(spec, np.zeros(param_count(spec)))
+        vec = fourier_coefficients(spec, np.zeros(param_count(spec)))
         assert vec.shape == (9,)
         assert vec[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(vec[1:]).max() < 1e-12
@@ -952,13 +941,13 @@ class TestCoefficientVector:
     def test_minus_cosine_vector(self):
         """-cos x = (-1/sqrt 2) * (sqrt 2 cos x): only the cos-1 feature
         (index 1) survives."""
-        vec = real_vector(ONE_QUBIT, MINUS_COS_THETA)
+        vec = fourier_coefficients(ONE_QUBIT, MINUS_COS_THETA)
         np.testing.assert_allclose(vec, [0.0, -1 / np.sqrt(2), 0.0], atol=1e-12)
 
     def test_univariate_round_trip(self):
         spec = sample_specs()[0]
         theta = init_parameters(spec, make_rng(50))
-        vec = real_vector(spec, theta)
+        vec = fourier_coefficients(spec, theta)
         xs = make_rng(51).uniform(-np.pi, np.pi, size=100)
 
         def features(x):
@@ -973,7 +962,7 @@ class TestCoefficientVector:
     def test_multivariate_round_trip(self):
         spec = sample_specs()[1]
         theta = init_parameters(spec, make_rng(52))
-        vec = real_vector(spec, theta)
+        vec = fourier_coefficients(spec, theta)
         assert vec.shape == (9,)
 
         def features_1d(x):
@@ -984,19 +973,15 @@ class TestCoefficientVector:
             phi = np.kron(features_1d(x[0]), features_1d(x[1]))
             assert vec @ phi == pytest.approx(evaluate(spec, theta, x), abs=1e-9)
 
-    @pytest.mark.parametrize("spec", [
-        sample_specs()[0],
-        AnsatzSpec(n_variables=2, n_qubits=2, n_layers=1,
-                   topology=Parallel(), encoding=exponential_weights(2)),
-        sample_specs()[3],
-    ], ids=["parallel-M1", "parallel-M2", "ring"])
-    def test_matches_complex_coefficients(self, spec):
-        """The real vector, mapped to complex form, is ``fourier_coefficients``."""
+    def test_ring_round_trip(self):
+        """A reuploading model, whose encodings are not one diagonal, is its
+        vector on the lattice of its weight sums."""
+        spec = sample_specs()[3]
         theta = init_parameters(spec, make_rng(55))
-        fc = fourier_coefficients(spec, theta)
-        degrees = [int(s[-1]) for s in fc.supports]
-        np.testing.assert_allclose(complex_from_real(real_vector(spec, theta), degrees),
-                                   fc.values, rtol=0, atol=1e-12)
+        vec = fourier_coefficients(spec, theta)
+        xs = make_rng(57).uniform(-np.pi, np.pi, size=(50, 2))
+        np.testing.assert_allclose(feature_matrix(xs, FeatureMap(2, (3, 3))) @ vec,
+                                   evaluate_batch(spec, theta, xs), rtol=0, atol=1e-12)
 
     def test_random_target_on_nyquist_grid(self):
         for seed in (0, 1, 2):
@@ -1011,7 +996,7 @@ class TestCoefficientVector:
         spec = AnsatzSpec(n_variables=1, n_qubits=2, n_layers=1,
                           topology=Parallel(), encoding=EncodingSpec(weights=(1, 7)))
         theta = init_parameters(spec, make_rng(54))
-        vec = real_vector(spec, theta)
+        vec = fourier_coefficients(spec, theta)
         assert vec.shape == (17,)
         xs = make_rng(56).uniform(-np.pi, np.pi, size=(50, 1))
         np.testing.assert_allclose(feature_matrix(xs, FeatureMap(1, (8,))) @ vec,

@@ -19,7 +19,6 @@ from fourierqml.qfflm import (
     AnsatzSpec,
     Parallel,
     evaluate_batch,
-    fourier_coefficients,
     init_parameters,
 )
 from fourierqml.rng import make_rng
@@ -431,12 +430,12 @@ class TestQuantumTraining(SharedLoopChecks):
             train(TWO_QUBIT, data, override)
 
     def test_training_without_recovery_enumerates_no_spectrum(self, monkeypatch):
-        import fourierqml.qfflm
+        from fourierqml import spectra
 
-        def refuse(enc):
+        def refuse(weights):
             raise AssertionError("spectrum enumerated")
 
-        monkeypatch.setattr(fourierqml.qfflm, "spectrum", refuse)
+        monkeypatch.setattr(spectra, "_recurrence", refuse)
         record = train(TWO_QUBIT, make_grid_dataset(StepTarget(), 6), TrainConfig(steps=2, seed=0))
         assert len(record.loss_trace) == 3
 
@@ -444,13 +443,13 @@ class TestQuantumTraining(SharedLoopChecks):
         data = make_grid_dataset(StepTarget(), 12)
         cfg = TrainConfig(steps=2, seed=3, recover_coefficients=True)
         record = train(TWO_QUBIT, data, cfg)
-        # f = sum_n c(n) e^{-i n x} with c(+-j) = (a_j +- i b_j) / sqrt 2
-        c = fourier_coefficients(TWO_QUBIT, record.final_params).values
-        expected = np.empty(9)
-        expected[0] = c[4].real
-        expected[1::2] = np.sqrt(2) * c[5:].real
-        expected[2::2] = np.sqrt(2) * c[5:].imag
-        np.testing.assert_allclose(record.recovered_coefficients, expected, atol=1e-12)
+        # the recovered vector is the trained model: c . phi(x) = f(x) off the grid
+        xs = make_rng(4).uniform(-np.pi, np.pi, size=(50, 1))
+        assert record.recovered_coefficients.shape == (9,)
+        phi = feature_matrix(xs, FeatureMap(1, (4,)))
+        np.testing.assert_allclose(phi @ record.recovered_coefficients,
+                                   evaluate_batch(TWO_QUBIT, record.final_params, xs),
+                                   rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         data = Dataset(inputs=np.zeros((4, 2)), outputs=np.zeros(4))
