@@ -146,16 +146,13 @@ def resource_report(
     K: int,
     M: int,
     eps: float,
-    classical_n_tp: int | None = None,
 ) -> ResourceReport:
     """Build a ``ResourceReport`` with one shared precision ``eps``.
 
-    The classical side defaults to the fully parametrized model
-    (``classical_n_tp = K^M``).
+    The classical side is the fully parametrized model
+    (``resrc_classical_fully_parametrized``).
     """
-    if classical_n_tp is None:
-        classical_n_tp = K**M
-    resrc_c = resrc_classical(K, M, classical_n_tp)
+    resrc_c = resrc_classical_fully_parametrized(K, M)
     resrc_q = resrc_quantum(N_gt, N_tp, eps, eps)
     # resrc_q(eps) = N_gt (1 + 2 N_tp) / eps^2 + 1 + 3 N_tp; solve for equality.
     numerator = N_gt * (1 + 2 * N_tp)
@@ -400,6 +397,12 @@ class DecayFit(NamedTuple):
     alpha: float
 
 
+def _require_two_sizes(sizes) -> None:
+    distinct = len(set(sizes))  # np.unique would import numpy.ma
+    if distinct < 2:
+        raise ValueError(f"need at least two sizes to fit a decay, got {distinct} distinct")
+
+
 def fit_decay(total_qubits, mean_sq_values) -> DecayFit:
     """Least-squares fit of ``log <f^2>`` against total qubit count.
 
@@ -410,9 +413,7 @@ def fit_decay(total_qubits, mean_sq_values) -> DecayFit:
     """
     total_qubits = np.asarray(total_qubits, dtype=np.float64)
     mean_sq_values = np.asarray(mean_sq_values, dtype=np.float64)
-    distinct = len(set(total_qubits.tolist()))  # np.unique would import numpy.ma
-    if distinct < 2:
-        raise ValueError(f"need at least two sizes to fit a decay, got {distinct} distinct")
+    _require_two_sizes(total_qubits.tolist())
     if np.any(mean_sq_values <= 0):
         raise ValueError("mean-square values must be positive")
     slope, intercept = np.polyfit(total_qubits, np.log(mean_sq_values), 1)
@@ -430,8 +431,10 @@ def plateau_sweep(
 ) -> tuple[list[PlateauReport], DecayFit]:
     """Run ``plateau_stats`` across register sizes and fit the decay base.
 
-    The fitted ``alpha`` is written back onto every report.
+    The fitted ``alpha`` is written back onto every report.  Fewer than
+    two distinct sizes raise ``ValueError`` before any sampling.
     """
+    _require_two_sizes(qubit_counts)
     reports = [
         plateau_stats(n_variables, n, trials, rng, mode=mode,
                       grad_case=grad_case, n_layers=n_layers)

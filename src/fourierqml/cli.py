@@ -10,7 +10,8 @@ name to the library call it configures, whose signature holds the
 defaults.  Each experiment returns its primary outputs, and ``main``
 writes them: the output directory, with the config archived next to the
 results and one line appended to the ``run.log`` sidecar, is created
-once a run has finished or diverged.
+once a run has finished or diverged.  Before the run, ``main`` checks
+that the directory could be created, and creates nothing.
 
 Primary outputs (JSON/CSV) are byte-identical across reruns of the same
 config: floats are written with 17 significant digits and wall-clock
@@ -35,6 +36,7 @@ import datetime
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -227,6 +229,16 @@ def _csv(header: list[str], rows) -> str:
     writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
                      for row in rows)
     return buffer.getvalue()
+
+
+def _check_output_dir(out: Path) -> None:
+    """Raise ``OSError`` unless the nearest existing ancestor of ``out``
+    (``out`` itself when it exists) is a writable directory."""
+    ancestor = out
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise OSError(f"{ancestor} is not a writable directory, so {out} cannot be created")
 
 
 def _write_outputs(config: dict, files: dict[str, str], started: float, message: str) -> Path:
@@ -528,6 +540,7 @@ def main(argv=None) -> int:
             return _cmd_spectrum(args)
         schema, runner = _CONFIG_COMMANDS[args.command]
         config = _load_config(args.config, schema)
+        _check_output_dir(Path(config["output_dir"]))
         started = time.perf_counter()
         try:
             files, note = runner(config)

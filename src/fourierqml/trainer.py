@@ -25,7 +25,8 @@ price the parameter-shift protocol, ``2 N_tp + 1`` circuits of the full
 program per batch point, which is what hardware would run.  The
 classical Jacobian is the batch's rows of the precomputed feature
 matrix, cut to the model's leading columns.  Both families recover
-their coefficients in the classical feature basis.
+their coefficients in the classical feature basis, on the lattice the
+model itself fixes, so recovery never reads the training inputs.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,
@@ -279,6 +280,10 @@ def adam_step(state: AdamState, grads, lr: float) -> AdamState:
 # training
 # ---------------------------------------------------------------------------
 
+# a training loss above this aborts the fit as a divergence
+_DIVERGENCE_THRESHOLD = 1e6
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.03
@@ -286,9 +291,7 @@ class TrainConfig:
     batch_size: int | None = None  # None: full batch
     shots: int | None = None  # quantum models only; None: exact expectation values
     seed: int = 0
-    divergence_threshold: float = 1e6
     recover_coefficients: bool = False
-    allow_sub_nyquist: bool = False
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -307,12 +310,13 @@ class ResultRecord:
 
     ``loss_trace`` has ``steps + 1`` entries: the loss at the parameters
     entering each step, plus the final post-update loss.  The last entry
-    is the run's saturated loss.  The CLI writes it, through
-    ``dataclasses.asdict``, as ``result.json`` and ``trace.csv``.
+    is the run's saturated loss.  ``config`` is the ``TrainConfig`` as a
+    dict, the seed included, with ``aborted`` added when the fit
+    diverged.  The CLI writes the record, through ``dataclasses.asdict``,
+    as ``result.json`` and ``trace.csv``.
     """
 
     config: dict
-    seed: int
     loss_trace: np.ndarray = field(repr=False)
     test_loss_trace: np.ndarray | None = field(repr=False)
     final_params: np.ndarray = field(repr=False)
@@ -322,22 +326,6 @@ class ResultRecord:
     @property
     def final_loss(self) -> float:
         return float(self.loss_trace[-1])
-
-
-def _nyquist_check(inputs: np.ndarray, degrees, allow: bool) -> None:
-    for m, degree in enumerate(degrees):
-        needed = 2 * degree + 1
-        distinct = np.unique(inputs[:, m]).size
-        if distinct < needed:
-            message = (
-                f"variable {m + 1}: {distinct} distinct sample points cannot "
-                f"identify a degree-{degree} series (need {needed}); "
-                "coefficient recovery would alias"
-            )
-            if allow:
-                warnings.warn(message, stacklevel=3)
-            else:
-                raise ValueError(message + "; pass allow_sub_nyquist to override")
 
 
 def train(
@@ -386,7 +374,6 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
     def record(config: dict, recovered=None) -> ResultRecord:
         return ResultRecord(
             config=config,
-            seed=cfg.seed,
             loss_trace=np.asarray(trace),
             test_loss_trace=None if test_trace is None else np.asarray(test_trace),
             final_params=state.params.copy(),
@@ -405,7 +392,7 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
         trace.append(loss)
         if test_trace is not None:
             test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
-        if not np.isfinite(loss) or loss > cfg.divergence_threshold:
+        if not np.isfinite(loss) or loss > _DIVERGENCE_THRESHOLD:
             raise diverged(f"loss {loss} exceeded divergence threshold after {len(trace)} steps")
         grad = (2.0 / idx.size) * (jac.T @ residual)
         adam_step(state, grad, cfg.learning_rate)
@@ -424,8 +411,6 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
         )
-    if cfg.recover_coefficients:
-        _nyquist_check(data.inputs, spec.weight_sums, cfg.allow_sub_nyquist)
     rng = make_rng(cfg.seed)
     theta = init_parameters(spec, rng)
     n_tp = param_count(spec)
@@ -475,8 +460,6 @@ def _train_classical(
         )
     if cfg.shots is not None:
         raise ValueError("shots applies to quantum models only; a classical fit is exact")
-    if cfg.recover_coefficients:
-        _nyquist_check(data.inputs, fm.degrees, cfg.allow_sub_nyquist)
 
     def features(dataset: Dataset) -> np.ndarray:
         return feature_matrix(dataset.inputs, fm)[:, :dim]

@@ -157,9 +157,12 @@ class TestResourceReport:
         assert continuous == pytest.approx(report.resrc_c)
 
     def test_crossing_infinite_when_classical_trivial(self):
-        report = resource_report(N_gt=5, N_tp=10, K=2, M=1, eps=0.5,
-                                 classical_n_tp=0)
+        # N_tp >= K^M: the quantum count's eps-free part, 1 + 3 N_tp = 31,
+        # already exceeds the whole classical count 3 K^M + 1 = 7
+        report = resource_report(N_gt=5, N_tp=10, K=2, M=1, eps=0.5)
+        assert report.resrc_c == 7
         assert np.isinf(report.crossing_eps)
+        assert not report.advantage
 
     def test_resources_json_keys(self):
         files, _ = cli._cmd_resources({"K": 81, "M": 1, "eps": 0.5, "N_tp": 16,

@@ -17,6 +17,19 @@ def reject_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
 
+def record_plateau_samples(monkeypatch):
+    """Wrap ``analysis.plateau_stats``; return the list of sizes it samples."""
+    sampled = []
+    original = analysis.plateau_stats
+
+    def recording(n_variables, n_qubits, *args, **kwargs):
+        sampled.append(n_qubits)
+        return original(n_variables, n_qubits, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "plateau_stats", recording)
+    return sampled
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -197,6 +210,17 @@ class TestTrainCommand:
         assert main(["train", "--config", config]) == 0
         result = json.loads((out / "result.json").read_text())
         assert len(result["recovered_coefficients"]) == 17
+
+    def test_recovery_from_fewer_points_than_coefficients(self, tmp_path):
+        """Recovery reads the model on its own lattice: 50 training points
+        yield all 81 coefficients of a 4-qubit exponential model."""
+        out = tmp_path / "run"
+        config = write_config(tmp_path, quantum_train_config(
+            out, n_qubits=4, n_points=50, recover_coefficients=True))
+        assert main(["train", "--config", config]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert len(result["recovered_coefficients"]) == 81
+        assert "seed" not in result and result["config"]["seed"] == 0
 
     def test_divergence_exit_code_and_partial_trace(self, tmp_path):
         out = tmp_path / "run"
@@ -581,8 +605,6 @@ class TestLibraryRejections:
         ("train", lambda out: quantum_train_config(out, n_qubits=3, encoding=[1, 3]),
          "one weight per qubit"),
         ("train", lambda out: quantum_train_config(
-            out, n_qubits=3, n_points=10, recover_coefficients=True), "alias"),
-        ("train", lambda out: quantum_train_config(
             out, target={"kind": "coefficients", "values": [0.1, 0.2]}), "odd length"),
         ("train", lambda out: {
             "version": "train-v1", "seed": 0, "output_dir": str(out), "family": "classical",
@@ -591,10 +613,12 @@ class TestLibraryRejections:
         ("compare", lambda out: compare_config(out, split=12), "split must be in 1..8"),
         ("plateau", lambda out: plateau_config(out, qubit_counts=[2]), "two sizes"),
         ("plateau", lambda out: plateau_config(out, qubit_counts=[3, 3]), "two sizes"),
-    ], ids=["train-kappa", "train-dimension", "train-encoding", "train-sub-nyquist",
+    ], ids=["train-kappa", "train-dimension", "train-encoding",
             "train-even-coefficients", "train-classical-shots", "compare-split",
             "plateau-one-count", "plateau-repeated-count"])
-    def test_exit_code_and_message(self, tmp_path, capsys, command, make_doc, message):
+    def test_exit_code_and_message(self, tmp_path, capsys, monkeypatch, command, make_doc,
+                                   message):
+        sampled = record_plateau_samples(monkeypatch)
         out = tmp_path / "out"
         config = write_config(tmp_path, make_doc(out))
         assert main([command, "--config", config]) == 2
@@ -602,6 +626,8 @@ class TestLibraryRejections:
         assert err.startswith(f"{command}: ")
         assert message in err
         assert not out.exists()
+        # a plateau sweep refuses its sizes before it samples any of them
+        assert sampled == []
 
 
 class TestUnwritableOutput:
@@ -614,13 +640,17 @@ class TestUnwritableOutput:
         assert err.startswith("spectrum: cannot write outputs: ") and err.count("\n") == 1
         assert not target.parent.exists()
 
-    def test_output_dir_under_a_file(self, tmp_path, capsys):
+    def test_output_dir_under_a_file(self, tmp_path, capsys, monkeypatch):
+        # refused before the sweep, not after it
+        sampled = record_plateau_samples(monkeypatch)
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         config = write_config(tmp_path, plateau_config(blocker / "run"))
         assert main(["plateau", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("plateau: cannot write outputs: ") and err.count("\n") == 1
+        assert sampled == []
+        assert blocker.read_text(encoding="utf-8") == ""
 
 
 class TestConfigBinding:
@@ -636,10 +666,11 @@ class TestConfigBinding:
         assert fields <= set(inspect.signature(function).parameters)
 
     def test_train_config_fields(self):
-        # a renamed TrainConfig field would silently drop out of the binding
+        # every TrainConfig field is a run field train-v1 binds by name: a
+        # renamed one would silently drop out of the binding, and one the
+        # schema lacks would be an option no run can set
         schema, _ = _CONFIG_COMMANDS["train"]
-        named = {f.name for f in dataclasses.fields(trainer.TrainConfig)} & set(
-            schema["properties"]
-        )
-        assert named == {"seed", "learning_rate", "steps", "batch_size", "shots",
-                         "recover_coefficients"}
+        fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+        assert fields == {"seed", "learning_rate", "steps", "batch_size", "shots",
+                          "recover_coefficients"}
+        assert fields <= set(schema["properties"])

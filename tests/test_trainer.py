@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fourierqml import cli, qfflm
+from fourierqml import cli, qfflm, trainer
 from fourierqml.cfflm import (
     ClassicalModel,
     FeatureMap,
@@ -206,11 +206,14 @@ class SharedLoopChecks:
     """Training-loop behaviour both model families share.
 
     Subclasses say how to train and predict; ``PER_POINT`` is the cost a
-    training step charges to ``EVALUATIONS`` per batch point.
+    training step charges to ``EVALUATIONS`` per batch point, and a fit at
+    ``DIVERGING_RATE`` aborts with a message matching ``DIVERGENCE``.
     """
 
     EVALUATIONS: str
     PER_POINT: int
+    DIVERGING_RATE: float
+    DIVERGENCE: str
 
     def train(self, data, cfg, test_data=None):
         raise NotImplementedError
@@ -235,16 +238,16 @@ class SharedLoopChecks:
 
     def test_divergence_aborts_with_partial_record(self):
         data = make_grid_dataset(FourierTarget(coefficients=0.2 * np.ones(5)), 20)
-        cfg = TrainConfig(learning_rate=0.05, steps=50, seed=0,
-                          divergence_threshold=1e-12)
-        with pytest.raises(TrainingError) as excinfo:
+        cfg = TrainConfig(learning_rate=self.DIVERGING_RATE, steps=50, seed=0)
+        with pytest.raises(TrainingError, match=self.DIVERGENCE) as excinfo:
             self.train(data, cfg, test_data=data)
         record = excinfo.value.record
         assert record is not None
         assert record.config["aborted"] == "divergence"
         assert len(record.loss_trace) >= 1
         assert record.test_loss_trace.shape == record.loss_trace.shape
-        assert record.loss_trace[-1] > cfg.divergence_threshold
+        assert (record.loss_trace[-1] > trainer._DIVERGENCE_THRESHOLD
+                or not np.isfinite(record.final_params).all())
 
 
 CLASSICAL_FM = FeatureMap(n_variables=1, degrees=(2,))
@@ -253,6 +256,8 @@ CLASSICAL_FM = FeatureMap(n_variables=1, degrees=(2,))
 class TestClassicalTraining(SharedLoopChecks):
     EVALUATIONS = "forward_passes"
     PER_POINT = 1
+    DIVERGING_RATE = 1e8
+    DIVERGENCE = "exceeded divergence threshold"
 
     def train(self, data, cfg, test_data=None):
         model = ClassicalModel(coefficients=np.zeros(CLASSICAL_FM.dimension))
@@ -333,6 +338,10 @@ class TestClassicalTraining(SharedLoopChecks):
 class TestQuantumTraining(SharedLoopChecks):
     EVALUATIONS = "circuit_evaluations"
     PER_POINT = 17  # 2 N_tp + 1 circuits with N_tp = 8
+    # |f| <= 1 keeps a quantum loss far below the divergence threshold; an
+    # update that overflows the parameters is how a quantum fit diverges
+    DIVERGING_RATE = 1.7e308
+    DIVERGENCE = "non-finite parameters"
 
     def train(self, data, cfg, test_data=None):
         return train(TWO_QUBIT, data, cfg, test_data=test_data)
@@ -418,16 +427,20 @@ class TestQuantumTraining(SharedLoopChecks):
         b = train(TWO_QUBIT, data, TrainConfig(steps=3, seed=1))
         assert not np.array_equal(a.final_params, b.final_params)
 
-    def test_nyquist_guard(self):
-        # degree 4 spectrum needs 9 distinct points; 7 is too few
+    def test_recovery_from_fewer_points_than_coefficients(self):
+        """7 training points are fewer than the degree-4 model's 9
+        coefficients; recovery reads the model on its own lattice, so the
+        vector still is the trained model everywhere."""
         data = make_grid_dataset(StepTarget(), 7)
-        cfg = TrainConfig(steps=1, seed=0, recover_coefficients=True)
-        with pytest.raises(ValueError, match="alias"):
-            train(TWO_QUBIT, data, cfg)
-        override = TrainConfig(steps=1, seed=0, recover_coefficients=True,
-                               allow_sub_nyquist=True)
-        with pytest.warns(UserWarning, match="alias"):
-            train(TWO_QUBIT, data, override)
+        cfg = TrainConfig(steps=3, seed=0, recover_coefficients=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = train(TWO_QUBIT, data, cfg)
+        xs = uniform_grid((1001,))
+        phi = feature_matrix(xs, FeatureMap(1, (4,)))
+        np.testing.assert_allclose(phi @ record.recovered_coefficients,
+                                   evaluate_batch(TWO_QUBIT, record.final_params, xs),
+                                   rtol=0, atol=1e-12)
 
     def test_training_without_recovery_enumerates_no_spectrum(self, monkeypatch):
         from fourierqml import spectra
@@ -488,7 +501,8 @@ class TestResultRecord:
     def test_json_round_trip(self):
         record, files = self._files()
         doc = json.loads(files["result.json"])
-        assert doc["seed"] == 0
+        assert doc["config"]["seed"] == 0
+        assert "seed" not in doc  # recorded once, in the config
         assert doc["loss_trace"] == record.loss_trace.tolist()
         assert doc["test_loss_trace"] == record.test_loss_trace.tolist()
         assert doc["final_params"] == record.final_params.tolist()
@@ -604,7 +618,7 @@ class TestExperiments:
                                   (result.classical[ri][run], classical)):
                     np.testing.assert_array_equal(got.loss_trace, want.loss_trace)
                     np.testing.assert_array_equal(got.final_params, want.final_params)
-                    assert got.seed == want.seed
+                    assert got.config["seed"] == want.config["seed"]
 
     def test_step_study_smoke(self):
         result = run_step_function_study(qubit_counts=(1, 2), seeds=(0,),
