@@ -31,9 +31,11 @@ per-qubit rotations (RY then RZ with ``rotation_params=2``, or a full
 ``Rot`` with 3) followed by a CNOT line (ring for ``Ring``).
 
 Evaluation runs the compiled gate program over amplitude arrays of shape
-``(theta_variants, data_points, 2**n)``.  The opening trainable block
-never reads the data, so it runs once per variant and its state is
-copied to every row; every later gate acts on the whole batch.
+``(theta_variants, data_points, 2**n)`` whose row axis is the fastest in
+memory, so a gate on any qubit walks runs that span every row.  The
+opening trainable block never reads the data, so it runs once per
+variant and its state is copied to every row; every later gate acts on
+the whole batch in place.
 
 Exact Jacobians come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823) over a trimmed copy of the program, fixed by the spec:
@@ -64,7 +66,8 @@ takes the adjoint pass, which is also the engine's test oracle.  One
 forward pass over the data takes the opening state to the final states;
 one backward pass undoes the kept gates in reverse, carrying the states
 together with the observable applied to them and reading each later
-trainable angle's derivative on the way.  The co-state it carries back
+trainable angle's derivative on the way, in closed form from the
+qubit's two halves of both.  The co-state it carries back
 to the end of the opening block meets the opening tangents in one matrix
 product.  Dropped and folded trainable gates have derivative exactly 0
 in both.  With finite shots every circuit of the parameter-shift rule
@@ -111,8 +114,9 @@ __all__ = [
 
 # One complex multiply-add inside a matrix product costs about 1/20 of an
 # amplitude update by a gate kernel.  Timed with one BLAS thread on a
-# 2-core Xeon, the ratio was 30-55 at 6-8 qubits; the low end keeps the
-# diagonal engine off every shape where it was timed slower.
+# 2-core Xeon, an adjoint pass's update cost 34-49 multiply-adds at 6-8
+# qubits; on Parallel specs with one layer and 4-8 qubits, at 200 and 3**n
+# rows, the rule picked the faster of the two engines on every shape.
 _PRODUCT_SPEEDUP = 20
 # Rows per product in the diagonal engine: its (rows, 1 + P, d) states
 # are built one block at a time, so their size does not grow with the data.
@@ -402,7 +406,9 @@ def count_gates(spec: AnsatzSpec) -> int:
 def apply_opening(spec: AnsatzSpec, amps: np.ndarray, angles, x=None) -> np.ndarray:
     """Run the first trainable block, and with ``x`` the encoding run after it.
 
-    ``amps`` has shape ``(variants, rows, 2**n)``; ``angles`` has shape
+    ``amps`` has shape ``(variants, rows, 2**n)``, in any memory layout; a
+    row batch of the circuit runner keeps its rows fastest in memory, and
+    the gates write the result into ``amps`` in place.  ``angles`` has shape
     ``(variants, n_block_params)`` and holds that block's trainable angles
     in the flat theta order, one row per variant.  ``x`` is one input
     point, shared by every row.  A ``Parallel`` spec's second block has
@@ -438,15 +444,17 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     broadcast along the data axis and encoding angles along the variant
     axis, so one pass covers every (theta variant, datum) pair.  The
     opening block reads no data: it runs on one row per variant, which is
-    then copied to every row, with the same arithmetic as a full batch.
+    then copied to every row of a ``_rows_fastest`` batch, with the same
+    arithmetic as a full batch.
     Shapes and finiteness are the caller's to check (``_as_theta``,
     ``_as_inputs``).
     """
     ops, _ = _program(spec)
     n = spec.total_qubits
     n_open = _opening_length(ops)
-    amps = _apply_ops(_zero_states(thetas.shape[0], n), n, ops[:n_open], thetas, None)
-    return _apply_ops(np.repeat(amps, xs.shape[0], axis=1), n, ops[n_open:], thetas, xs)
+    amps = _rows_fastest(thetas.shape[0], xs.shape[0], n)
+    amps[...] = _apply_ops(_zero_states(thetas.shape[0], n), n, ops[:n_open], thetas, None)
+    return _apply_ops(amps, n, ops[n_open:], thetas, xs)
 
 
 def _zero_states(variants: int, n: int) -> np.ndarray:
@@ -456,8 +464,17 @@ def _zero_states(variants: int, n: int) -> np.ndarray:
     return amps
 
 
+def _rows_fastest(variants: int, rows: int, n: int) -> np.ndarray:
+    """An empty row batch of shape (variants, rows, 2**n), rows fastest in memory.
+
+    A gate on qubit q walks the amplitude axis in runs of 2**(n-q)
+    amplitudes; with the rows fastest, every run spans all the rows.
+    """
+    return np.empty((variants, 1 << n, rows), dtype=np.complex128).transpose(0, 2, 1)
+
+
 def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> np.ndarray:
-    """Apply ``ops`` to amplitudes of shape (variants, data, 2**n).
+    """Apply ``ops`` to amplitudes of shape (variants, data, 2**n), in place.
 
     Trainable angles come from ``thetas[:, i]`` along the variant axis
     and encoding angles from ``xs[:, j]`` along the data axis.
@@ -605,30 +622,47 @@ def _adjoint_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> tu
     # With phi the state after a trainable gate R_G(t) and lam = O
     # phi_final carried back to the same point, O the observable,
     # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the gates
-    # run per row in reverse, each gate's derivative is read, then the
-    # gate is undone on the (phi, lam) pair; below the first such read
-    # only lam is carried on, to the end of the opening block.
+    # run per row in reverse, each gate's derivative is read from the
+    # qubit's two halves of phi and lam, then the gate is undone on the
+    # (phi, lam) pair; below the first such read only lam is carried on,
+    # to the end of the opening block.
     opening, per_row, observable = _trimmed(spec)
     n = spec.total_qubits
     thetas = theta[None, :]
     cols, opened = _opening_tangents(spec, theta, opening)
-    phi = _apply_ops(np.repeat(opened[None, :1], xs.shape[0], axis=1), n, per_row, thetas, xs)[0]
+    pair = _rows_fastest(2, xs.shape[0], n)
+    pair[0] = opened[0]
+    phi = _apply_ops(pair[:1], n, per_row, thetas, xs)[0]  # in place: phi is pair[0]
     values = (phi.real**2 + phi.imag**2) @ observable
-    pair = np.stack([phi, observable * phi])
-    generator, undo_thetas, undo_xs = np.full_like(thetas, np.pi), -thetas, -xs
+    np.multiply(observable, phi, out=pair[1])
+    undo_thetas, undo_xs = -thetas, -xs
     jac = np.zeros((xs.shape[0], theta.size))
     first = next((k for k, op in enumerate(per_row) if op[0] in ("ry", "rz")), len(per_row))
     for k in range(len(per_row) - 1, first - 1, -1):
         op = per_row[k]
         if op[0] in ("ry", "rz"):
-            g = _apply_ops(pair[:1].copy(), n, (op,), generator, None)[0]
-            jac[:, op[2]] = (pair[1].conj() * g).real.sum(axis=-1)
+            jac[:, op[2]] = _generator_read(pair, n, op)
         if k > first:
             pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
     if cols:
         lam = _apply_ops(pair[1:], n, per_row[:first + 1][::-1], undo_thetas, undo_xs)[0]
         jac[:, cols] = (lam.conj() @ opened[1:].T).real
     return values, jac
+
+
+def _generator_read(pair: np.ndarray, n: int, op: tuple) -> np.ndarray:
+    """``Re <lam| R_G(pi) |phi>`` per row for the trainable gate ``op``.
+
+    ``pair`` stacks phi and lam, shape (2, rows, 2**n).  On the gate's
+    qubit R_Y(pi) = [[0, -1], [1, 0]] and R_Z(pi) = diag(-i, i), so the
+    read needs only the two halves of phi and lam, and no gate runs.
+    """
+    q = op[1]
+    phi, lam = pair.reshape(2, pair.shape[1], 1 << (q - 1), 2, 1 << (n - q))
+    phi0, phi1, lam0, lam1 = phi[:, :, 0], phi[:, :, 1], lam[:, :, 0], lam[:, :, 1]
+    if op[0] == "ry":
+        return (lam1.conj() * phi0 - lam0.conj() * phi1).real.sum(axis=(1, 2))
+    return (lam0.conj() * phi0 - lam1.conj() * phi1).imag.sum(axis=(1, 2))
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,12 @@ Conventions
   against the batch shape, which is what makes parameter-shift gradients
   over whole datasets a single pass through the gate sequence.
 
-Kernels reshape the last axis to ``(2**(q-1), 2, 2**(n-q))`` and operate
-in place on that view when the input is contiguous.  They return the array
-holding the result; callers should always rebind to the return value.
+Kernels split the last axis into ``(2**(q-1), 2, 2**(n-q))``, which is a
+view for any strides, and write the result into the input array in place,
+whatever its memory layout; a batch whose row axis is fastest in memory
+stays so.  They return the array holding the result; callers should
+always rebind to the return value.  The kernels and ``expectation_z``
+give the same bits on any layout of the same amplitudes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ def _check_qubit(n_qubits: int, qubit: int) -> None:
 
 
 def _axis_view(amps: np.ndarray, n_qubits: int, target: int) -> np.ndarray:
-    # (..., 2**n) -> (..., 2**(t-1), 2, 2**(n-t)); a view for contiguous input
+    # (..., 2**n) -> (..., 2**(t-1), 2, 2**(n-t)); splitting one axis is a
+    # view whatever the strides, so writes to it reach ``amps``
     _check_qubit(n_qubits, target)
     lead = amps.shape[:-1]
     return amps.reshape(*lead, 1 << (target - 1), 2, 1 << (n_qubits - target))
@@ -55,7 +59,7 @@ def _bcast(angle) -> np.ndarray:
 
 
 def apply_rz(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
-    amps = np.ascontiguousarray(amps)
+    amps = np.asarray(amps)
     view = _axis_view(amps, n_qubits, target)
     phase = np.exp(-0.5j * _bcast(angle))
     view[..., 0, :] *= phase
@@ -64,16 +68,24 @@ def apply_rz(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
 
 
 def apply_ry(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
-    amps = np.ascontiguousarray(amps)
+    amps = np.asarray(amps)
     view = _axis_view(amps, n_qubits, target)
     half = 0.5 * _bcast(angle)
     c, s = np.cos(half), np.sin(half)
     a0 = view[..., 0, :]
     a1 = view[..., 1, :]
-    new0 = c * a0 - s * a1
-    new1 = s * a0 + c * a1
-    view[..., 0, :] = new0
-    view[..., 1, :] = new1
+    # c*a0 - s*a1 and s*a0 + c*a1, bit for bit, through two half-size
+    # temporaries that are reused: with more of them, malloc hands their
+    # memory back to the system between gates and each gate faults it in
+    # again, which doubled the adjoint pass's undo at 6 qubits and 200 rows
+    t = s * a1
+    new = c * a0
+    new -= t
+    np.multiply(s, a0, out=t)
+    view[..., 0, :] = new
+    np.multiply(c, a1, out=new)
+    new += t
+    view[..., 1, :] = new
     return amps
 
 
@@ -82,7 +94,7 @@ def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np
     _check_qubit(n_qubits, target)
     if control == target:
         raise ValueError(f"CNOT control and target are both qubit {control}")
-    amps = np.ascontiguousarray(amps)
+    amps = np.asarray(amps)
     lead = amps.shape[:-1]
     lo, hi = (control, target) if control < target else (target, control)
     view = amps.reshape(
@@ -91,12 +103,12 @@ def apply_cnot(amps: np.ndarray, n_qubits: int, control: int, target: int) -> np
     )
     if control < target:
         sub = view[..., 1, :, :, :]  # control bit set; target axis is -2
-        tmp = sub[..., 0, :].copy()
+        tmp = sub[..., 0, :].copy(order="K")
         sub[..., 0, :] = sub[..., 1, :]
         sub[..., 1, :] = tmp
     else:
         sub = view[..., 1, :]  # control bit set; target axis is -3
-        tmp = sub[..., 0, :, :].copy()
+        tmp = sub[..., 0, :, :].copy(order="K")
         sub[..., 0, :, :] = sub[..., 1, :, :]
         sub[..., 1, :, :] = tmp
     return amps
@@ -106,7 +118,10 @@ def expectation_z(amps: np.ndarray, n_qubits: int, qubit: int):
     """``<Z>`` on ``qubit``; batched over any leading axes of ``amps``."""
     _check_qubit(n_qubits, qubit)
     lead = amps.shape[:-1]
-    prob = (amps.real**2 + amps.imag**2).reshape(
+    # numpy sums in an order set by the memory layout, so the probabilities
+    # are summed in C order: a batch whose rows are fastest in memory then
+    # reads the same bits as its C-ordered copy
+    prob = np.ascontiguousarray(amps.real**2 + amps.imag**2).reshape(
         *lead, 1 << (qubit - 1), 2, 1 << (n_qubits - qubit)
     )
     diff = prob[..., 0, :].sum(axis=(-2, -1)) - prob[..., 1, :].sum(axis=(-2, -1))

@@ -4,7 +4,8 @@
 reads strictly better than its parent; the nine-in-ten gain rule reads
 that count.  ``_parse`` refuses plans too small to show nine in ten.
 ``_run`` keeps each run's detail line, whose per-operation walls show a
-cost that moves between set-up and the first operation.
+cost that moves between set-up and the first operation.  ``_spawn``
+starts each run so that its peak RSS is its own.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -94,3 +96,17 @@ def test_run_keeps_the_detail_line(monkeypatch, tmp_path):
     assert [(command[1:], cwd) for command, cwd in calls] == [(
         ["perfbench/run.py", "--workload", "fit-q4", "--seed", "3", "--seconds", "25.0",
          "--trace", "0"], tmp_path)]
+
+
+def test_spawned_run_reads_its_own_peak_rss(tmp_path):
+    """Linux carries a launcher's peak RSS into a child started straight
+    from it; a child of ``_spawn`` reads its own, while this process holds
+    128 MiB."""
+    held = np.ones(128 * 2**20 // 8)
+    proc = bench_pairs._spawn(
+        ["-c", "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    child_kib = int(proc.stdout)
+    assert held.sum() == held.size  # still resident while the child ran
+    assert child_kib * 1024 < held.nbytes / 2

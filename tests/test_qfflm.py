@@ -388,6 +388,51 @@ def test_trimmed_adjoint_matches_full_program(case):
                                    rtol=0, atol=1e-12)
 
 
+SERIAL_ROT_4Q = AnsatzSpec(n_variables=12, n_qubits=4, n_layers=2,
+                           topology=Serial(reuploads=2, encoders_per_block=1),
+                           encoding=EncodingSpec(weights=(1, 3)), rotation_params=3)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 33])
+def test_closed_form_reads_on_four_qubits(rows):
+    """The adjoint pass reads each RY and RZ column from the qubit's two
+    halves of phi and lam.  On a 4-qubit Serial spec with Rot layers, whose
+    RY and RZ gates sit on every qubit, the last two included (the
+    hypothesis cases stop at 2 qubits), the columns match the shift rule
+    row by row."""
+    spec = SERIAL_ROT_4Q
+    theta = init_parameters(spec, make_rng(83))
+    xs = make_rng(84).uniform(-np.pi, np.pi, (rows, spec.n_variables))
+    values, jac = values_and_jacobian(spec, theta, xs)
+    np.testing.assert_allclose(values, evaluate_batch(spec, theta, xs), rtol=0, atol=1e-12)
+    for row, x in enumerate(xs):
+        np.testing.assert_allclose(jac[row], gradient_parameter_shift(spec, theta, x),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec,rows", [
+    (SERIAL_ROT_4Q, 33),
+    (JACOBIAN_SPECS["ring"], 9),
+    (JACOBIAN_SPECS["parallel-2var"], 40),
+], ids=["serial-rot-4q", "ring", "parallel-2var-engine"])
+def test_input_layout_is_bit_identical(spec, rows):
+    """Inputs in C order and in Fortran order give the same bits from
+    evaluate_batch and from values_and_jacobian: the adjoint pass, or on
+    the Parallel spec the diagonal engine, whose phase cache is emptied
+    so that both layouts compute their diagonals."""
+    theta = init_parameters(spec, make_rng(85))
+    xs = make_rng(86).uniform(-np.pi, np.pi, (rows, spec.n_variables))
+    fortran = np.asfortranarray(xs)
+    assert not fortran.flags.c_contiguous
+    assert np.array_equal(evaluate_batch(spec, theta, xs), evaluate_batch(spec, theta, fortran))
+    results = []
+    for inputs in (xs, fortran):
+        qfflm._phases.cache_clear()
+        results.append(values_and_jacobian(spec, theta, inputs))
+    for c_order, fortran_order in zip(*results):
+        assert np.array_equal(c_order, fortran_order)
+
+
 def parity(n):
     """The +-1 diagonal of Z on every one of n qubits."""
     return np.array([(-1.0) ** bin(i).count("1") for i in range(1 << n)])

@@ -258,6 +258,49 @@ class TestBatchedKernels:
             np.testing.assert_allclose(got[b], apply_cnot(amps[b].copy(), 3, 3, 1), atol=1e-12)
 
 
+LAYOUT_QUBITS, LAYOUT_VARIANTS, LAYOUT_ROWS = 4, 3, 5
+_layout_rng = make_rng(22)
+LAYOUT_ANGLES = {
+    "per-variant": _layout_rng.uniform(-np.pi, np.pi, (LAYOUT_VARIANTS, 1)),
+    "per-row": _layout_rng.uniform(-np.pi, np.pi, (1, LAYOUT_ROWS)),
+}
+LAYOUT_CALLS = {
+    **{f"{kernel.__name__}-q{q}-{kind}": (kernel, (q, angles))
+       for kernel in (apply_ry, apply_rz)
+       for q in range(1, LAYOUT_QUBITS + 1)
+       for kind, angles in LAYOUT_ANGLES.items()},
+    **{f"apply_cnot-{c}-{t}": (apply_cnot, (c, t))
+       for c in range(1, LAYOUT_QUBITS + 1) for t in range(1, LAYOUT_QUBITS + 1) if c != t},
+}
+
+
+@pytest.mark.parametrize("kernel,args", list(LAYOUT_CALLS.values()), ids=list(LAYOUT_CALLS))
+def test_kernels_do_not_depend_on_layout(kernel, args):
+    """On a (variants, rows, 2**n) batch whose rows are fastest in memory,
+    every kernel, on every target qubit, both CNOT orientations and
+    per-variant or per-row angles, writes in place the same bits it
+    computes on the C-ordered copy."""
+    rng = make_rng(23)
+    shape = (LAYOUT_VARIANTS, LAYOUT_ROWS, 1 << LAYOUT_QUBITS)
+    c_order = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows_fastest = np.ascontiguousarray(c_order.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert not rows_fastest.flags.c_contiguous
+    got = kernel(rows_fastest, LAYOUT_QUBITS, *args)
+    assert np.shares_memory(got, rows_fastest)
+    assert np.array_equal(got, kernel(c_order.copy(), LAYOUT_QUBITS, *args))
+
+
+@pytest.mark.parametrize("qubit", range(1, 7))
+def test_expectation_does_not_depend_on_layout(qubit):
+    """<Z> of a rows-fastest batch has the bits of its C-ordered copy on
+    every qubit, where runs of 8 and more amplitudes are summed pairwise."""
+    rng = make_rng(24)
+    shape = (3, 40, 1 << 6)
+    c_order = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows_fastest = np.ascontiguousarray(c_order.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert np.array_equal(expectation_z(rows_fastest, 6, qubit), expectation_z(c_order, 6, qubit))
+
+
 # ---------------------------------------------------------------------------
 # norm preservation (property)
 # ---------------------------------------------------------------------------

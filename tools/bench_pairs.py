@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -29,6 +30,12 @@ from pathlib import Path
 import numpy as np
 
 _MIN_PAIRS = 10
+# Linux carries a process's peak resident size into ru_maxrss across fork
+# and exec, so a run started straight from this process would report this
+# process's peak whenever that is the larger.  The shell forks the run
+# instead of exec'ing it (the trailing exit keeps the run from being the
+# shell's last command), so the run starts from the shell's small image.
+_FORKING_PYTHON = f'{shlex.quote(sys.executable)} "$0" "$@"; exit $?'
 
 
 def _parse(argv):
@@ -60,20 +67,27 @@ def _export(root: Path, revision: str, target: Path) -> str:
     return sha
 
 
+def _spawn(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python args...`` run in ``cwd`` by a forking shell, output captured.
+
+    The run's ``ru_maxrss`` is its own peak, not this process's.
+    """
+    return subprocess.run([_FORKING_PYTHON, *args], shell=True, cwd=cwd,
+                          capture_output=True, text=True, timeout=600, check=False)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` process; its result and its machine record.
 
-    Started and read as ``perfbench/report.py``'s ``run_workload`` does
-    (the result is stdout's last line, the machine record in the line
-    before it), but from ``checkout``, whose own run.py and source it runs.
+    Read as ``perfbench/report.py``'s ``run_workload`` reads it (the
+    result is stdout's last line, the machine record in the line before
+    it), but started by ``_spawn`` from ``checkout``, whose own run.py and
+    source it runs.
     The result keeps that line's ``detail`` (the run's set-up samples and
     operation walls, among others) under the key ``detail``.
     """
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=600, check=False,
-    )
+    proc = _spawn(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds), "--trace", "0"], checkout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{workload} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
