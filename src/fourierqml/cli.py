@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -497,7 +498,9 @@ def _schema_epilog(schema: dict) -> str:
     return "\n".join(lines)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="fourier-qml",
         description="Train and analyze Fourier-featured quantum/classical models.",

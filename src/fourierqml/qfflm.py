@@ -47,21 +47,27 @@ arXiv:2009.02823) over a trimmed copy of the program, fixed by the spec:
   and a CNOT permutes it, so ``Z_measured`` becomes a diagonal +-1 Z
   string.  An RY on such a qubit is dropped when that string does not
   read the qubit: it commutes to the end and cancels.
-* The opening block runs once, at the base angles and at each of its
-  trainable angles shifted by pi.  ``R_G(t + pi) = -iG R_G(t)``, so each
-  shifted state is that angle's tangent.
+* The opening block is built once, at the base angles and at each of
+  its trainable angles shifted by pi.  ``R_G(t + pi) = -iG R_G(t)``, so
+  each shifted state is that angle's tangent.
+
+Trainable blocks are built for the Jacobians without the gate kernels
+(``_layers``, ``_block_unitaries``): every qubit's rotations in a layer
+multiply into one 2x2, a layer is the Kronecker product of those, and a
+run of CNOTs is one permutation of the basis.  The opening block is
+built as its unitaries' first columns, its states on ``|0...0>``.
 
 A ``Parallel`` spec's data enter only through its diagonal encoding, so
 the model is a quadratic form in ``psi_t = D(x_t) a`` with ``a = W1|0>``
-(Schuld, Sweke & Meyer, arXiv:2008.08605).  Its kept closing block runs
-once on the ``2**n`` basis states, with one pi-shifted variant per
+(Schuld, Sweke & Meyer, arXiv:2008.08605).  Its kept closing block is
+built once as ``2**n x 2**n`` unitaries, with one pi-shifted variant per
 trainable angle, and the values and every column are row-by-matrix
-products; no gate runs on the data rows.  The diagonals ``D(x_t)`` of
-the last dataset seen are kept, so a full-batch fit computes them once.
-One rule, ``_diagonal_fits``,
-picks this engine: its estimated work, the closing gates on the basis
-plus the per-row products, may not exceed the adjoint pass's gate work
-on the rows.  Every other exact Jacobian
+products; no gate kernel runs at all.  The diagonals ``D(x_t)`` of the
+last dataset seen are kept, so a full-batch fit computes them once.  One
+rule, ``_diagonal_fits``, picks this engine: its estimated work,
+building the closing block plus the per-row products, may not exceed
+the adjoint pass's gate work on the rows with each kernel call's fixed
+cost.  Every other exact Jacobian
 takes the adjoint pass, which is also the engine's test oracle.  One
 forward pass over the data takes the opening state to the final states;
 one backward pass undoes the kept gates in reverse, carrying the states
@@ -113,11 +119,14 @@ __all__ = [
 ]
 
 # One complex multiply-add inside a matrix product costs about 1/20 of an
-# amplitude update by a gate kernel.  Timed with one BLAS thread on a
-# 2-core Xeon, an adjoint pass's update cost 34-49 multiply-adds at 6-8
-# qubits; on Parallel specs with one layer and 4-8 qubits, at 200 and 3**n
-# rows, the rule picked the faster of the two engines on every shape.
+# amplitude update by a gate kernel, and a kernel call costs about 4096
+# updates whatever its size (8-18 us against about 3 ns per update).
+# Timed with one BLAS thread on a 2-core Xeon, on Parallel specs with one
+# layer and 4-8 qubits at 200 and 3**n rows, and with 2-4 layers at 1 to
+# 1500 rows, the rule's pick was never more than 1.2 times slower than
+# the other engine.
 _PRODUCT_SPEEDUP = 20
+_CALL_UPDATES = 4096
 # Rows per product in the diagonal engine: its (rows, 1 + P, d) states
 # are built one block at a time, so their size does not grow with the data.
 _ROW_BLOCK = 512
@@ -567,11 +576,11 @@ def values_and_jacobian(
 
     Returns ``(values, jac)`` with shapes ``(n,)`` and ``(n, N_tp)``.
     Exact values come from the trimmed program (see the module
-    docstring), whose opening block runs once, with one pi-shifted
+    docstring), whose opening block is built once, with one pi-shifted
     variant per trainable angle as that angle's tangent.  A ``Parallel``
     spec whose closing block fits the rule of ``_diagonal_fits`` runs no
-    gate on the data rows: its closing gates run once on the ``2**n``
-    basis states, the data enter as one diagonal phase per row, and the
+    gate kernel: its closing block is built once as ``2**n x 2**n``
+    unitaries, the data enter as one diagonal phase per row, and the
     values and every column are row-by-matrix products.  Any other spec
     takes the adjoint pass: one forward and one backward pass over the
     data run only the gates from the first encoding gate on, and the
@@ -600,7 +609,7 @@ def _shifted(theta: np.ndarray, cols: list[int] | tuple[int, ...]) -> np.ndarray
     ``R_G(t + pi) = -iG R_G(t) = 2 dR_G/dt``, so a block run at a shifted
     variant is twice that angle's tangent of the block.
     """
-    variants = np.tile(theta, (1 + len(cols), 1))
+    variants = np.repeat(theta[None, :], 1 + len(cols), axis=0)
     variants[1 + np.arange(len(cols)), cols] += np.pi
     return variants
 
@@ -609,12 +618,110 @@ def _opening_tangents(spec: AnsatzSpec, theta: np.ndarray, opening: tuple) -> tu
     """The opening block's trainable columns and its states on |0...0>.
 
     Row 0 of the states is the base state, row ``1 + i`` the tangent of
-    column ``i``.
+    column ``i``.  They are the first columns of the block's unitaries,
+    built without holding a 2**n x 2**n array.
     """
-    n = spec.total_qubits
     cols = [op[2] for op in opening if op[0] != "cnot"]
-    variants = _shifted(theta, cols)
-    return cols, _apply_ops(_zero_states(len(variants), n), n, opening, variants, None)[:, 0]
+    return cols, _block_unitaries(opening, spec.total_qubits, _shifted(theta, cols),
+                                  first_column=True)
+
+
+@lru_cache(maxsize=None)
+def _layers(ops: tuple, n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """A block of trainable gates and CNOTs, compiled for ``_block_unitaries``.
+
+    Returns ``(cols, half_turns, layers)``: the angle column of every
+    single-qubit gate in order, its ``R_G(pi)`` (shape (gates, 2, 2)), and
+    the block as alternating local layers and basis permutations, opening
+    with a local layer (one without gates if the block opens with a CNOT).
+    Gates on different qubits commute, so a run of single-qubit gates is
+    a local layer ``(rounds, qubits)``: ``rounds[r, q - 1]`` is the index
+    of the r-th gate on qubit q, or ``len(cols)`` (the identity) past its
+    last one, and ``qubits`` are the 0-based qubits with gates.  A run of
+    CNOTs is composed into one read-only index array ``perm`` that maps
+    amplitudes ``psi`` to ``psi[perm]``; a CNOT flips the target bit of
+    the basis index where the control bit is set.
+    """
+    indices = np.arange(1 << n)
+    # R_G(pi) = -iG of each trainable gate, so R_G(t) = cos(t/2) I + sin(t/2) R_G(pi)
+    half_turn = {"ry": [[0, -1], [1, 0]], "rz": [[-1j, 0], [0, 1j]]}
+    cols, half_turns, runs = [], [], []
+    for op in ops:
+        if op[0] == "cnot":
+            flipped = indices ^ (((indices >> (n - op[1])) & 1) << (n - op[2]))
+            if runs and isinstance(runs[-1], np.ndarray):
+                runs[-1] = runs[-1][flipped]
+            else:
+                runs.append(flipped)
+            continue
+        if not runs or isinstance(runs[-1], np.ndarray):
+            runs.append([[] for _ in range(n)])
+        runs[-1][op[1] - 1].append(len(cols))
+        cols.append(op[2])
+        half_turns.append(half_turn[op[0]])
+    if not runs or isinstance(runs[0], np.ndarray):
+        runs.insert(0, [[] for _ in range(n)])
+    layers = []
+    for run in runs:
+        if isinstance(run, np.ndarray):
+            run.flags.writeable = False
+            layers.append(run)
+            continue
+        rounds = np.full((max(1, *map(len, run)), n), len(cols))
+        for q, chain in enumerate(run):
+            rounds[:len(chain), q] = chain
+        rounds.flags.writeable = False
+        layers.append((rounds, tuple(q for q, chain in enumerate(run) if chain)))
+    half_turns = np.array(half_turns, dtype=np.complex128).reshape(-1, 2, 2)
+    cols = np.array(cols, dtype=np.intp)
+    half_turns.flags.writeable = cols.flags.writeable = False
+    return cols, half_turns, tuple(layers)
+
+
+def _block_unitaries(ops: tuple, n: int, angles: np.ndarray, first_column: bool = False) -> np.ndarray:
+    """Unitaries of a block of trainable gates and CNOTs, one per angle row.
+
+    ``angles`` has shape ``(variants, N_tp)``.  Returns shape
+    ``(variants, 2**n, 2**n)``, or with ``first_column`` only the first
+    columns, the block run on |0...0>, as ``(variants, 2**n)``.  One cos
+    and one sin of all half-angles give every gate's 2x2; each qubit's
+    2x2s are multiplied in gate order, the first local layer is their
+    Kronecker product over the qubits (qubit 1 most significant), a
+    permutation gathers rows, and each later local layer multiplies every
+    qubit's 2x2 into that qubit's axis.  The first columns never need a
+    2**n x 2**n array.  The gate kernels (``_apply_ops`` on the basis
+    states) are this builder's oracle.
+    """
+    cols, half_turns, layers = _layers(ops, n)
+    variants, identity = angles.shape[0], np.eye(2)
+    half = 0.5 * angles[:, cols]
+    mats = np.empty((variants, len(cols) + 1, 2, 2), dtype=np.complex128)
+    mats[:, :-1] = (np.cos(half)[..., None, None] * identity
+                    + np.sin(half)[..., None, None] * half_turns)
+    mats[:, -1] = identity
+    rounds, _ = layers[0]
+    factors = mats[:, rounds[0], :, :1] if first_column else mats[:, rounds[0]]
+    for gates in rounds[1:]:
+        factors = mats[:, gates] @ factors
+    # kron(A, B)[(i, i'), (j, j')] = A[i, j] B[i', j'], built from the last
+    # qubit up so that the longest axis is the innermost one
+    state = factors[:, n - 1]
+    for q in range(n - 2, -1, -1):
+        state = (factors[:, q, :, None, :, None] * state[:, None, :, None, :]).reshape(
+            variants, 2 * state.shape[1], -1)
+    width = state.shape[2]
+    for layer in layers[1:]:
+        if isinstance(layer, np.ndarray):
+            state = state[:, layer]
+            continue
+        rounds, qubits = layer
+        for q in qubits:
+            factor = mats[:, rounds[0, q]]
+            for gate in rounds[1:, q]:
+                factor = mats[:, gate] @ factor
+            state = (factor[:, None] @ state.reshape(variants, 1 << q, 2, -1)).reshape(
+                variants, 1 << n, width)
+    return state[:, :, 0] if first_column else state
 
 
 def _adjoint_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> tuple:
@@ -693,25 +800,33 @@ def _diagonal_fits(spec: AnsatzSpec, rows: int) -> bool:
     The spec must be ``Parallel``, whose data enter only through the
     diagonal encoding, and the engine's work must not exceed the adjoint
     pass's.  Counted in amplitude updates by a gate kernel, with
-    ``d = 2**n``, C kept closing gates, P of them trainable, and G gates
-    run per row: the engine runs the closing gates once on ``(1 + P) d``
-    basis rows, ``(1 + P) C d**2`` updates, then takes ``2 + P``
-    products of (rows x d) by (d x d), whose ``rows (2 + P) d**2``
-    multiply-adds cost ``1 / _PRODUCT_SPEEDUP`` update each; the adjoint
-    pass runs every per-row gate about three times on each row (forward,
-    undone on the pair or the co-state, and read), ``3 G rows d``
-    updates.  The engine's per-row cost grows as ``d**2`` against the
-    adjoint's ``G d``, so past a few qubits it never fits (from 7 qubits
-    at one layer), and its basis batch of ``(1 + P) d`` rows stays within
-    ``3 G / 2 C`` times the adjoint's (phi, lam) pair of ``2 rows`` rows.
+    ``d = 2**n``, P trainable gates in the kept closing block, Q qubit
+    passes in its local layers after the first (``_layers``), and G gates
+    run per row: the engine builds the closing block's ``1 + P``
+    unitaries, about one update per entry for the Kronecker product and
+    two per later pass, ``(1 + P)(1 + 2Q) d**2`` updates, then takes
+    ``2 + P`` products of (rows x d) by (d x d), whose
+    ``rows (2 + P) d**2`` multiply-adds cost ``1 / _PRODUCT_SPEEDUP``
+    update each; the adjoint pass calls a kernel about three times per
+    per-row gate (forward, undone on the pair or the co-state, and read),
+    each call updating ``rows d`` amplitudes at a fixed cost of
+    ``_CALL_UPDATES``, ``3 G (rows d + _CALL_UPDATES)`` updates.  The
+    engine's per-row cost grows as ``d**2`` against the adjoint's ``G d``
+    and its fixed cost as ``d**2`` against ``G``: at one layer it takes
+    every row count up to 6 qubits, up to 20 rows at 7 qubits and none
+    from 8, and a closing block with later layers moves to it only from
+    a row count on (446 rows at 6 qubits and two layers).  So its
+    unitaries never exceed ``(1 + P) 128**2`` amplitudes.
     """
     if not isinstance(spec.topology, Parallel):
         return False
     _, closing, closing_cols = _diagonal_program(spec)
     gates = len(_trimmed(spec)[1])
-    variants, d = 1 + len(closing_cols), 1 << spec.total_qubits
-    engine = _PRODUCT_SPEEDUP * variants * len(closing) * d + rows * (1 + variants) * d
-    return engine <= _PRODUCT_SPEEDUP * 3 * gates * rows
+    n = spec.total_qubits
+    variants, d = 1 + len(closing_cols), 1 << n
+    later = sum(len(layer[1]) for layer in _layers(closing, n)[2][1:] if isinstance(layer, tuple))
+    engine = _PRODUCT_SPEEDUP * variants * (1 + 2 * later) * d + rows * (1 + variants) * d
+    return engine <= _PRODUCT_SPEEDUP * 3 * gates * (rows + _CALL_UPDATES / d)
 
 
 @lru_cache(maxsize=1)
@@ -737,23 +852,22 @@ def _diagonal_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> t
     column of angle p is ``Re <O B psi_t, B'_p psi_t>`` and the opening
     column ``Re <B^dag O B psi_t, D(x_t) T_p>``, with B'_p and T_p the
     pi-shifted variants of B and a.  States are rows here, so a block
-    acts as ``psi @ B^T``, and row j of the basis batch after the
-    closing gates is ``B|j>``, a row of B^T; one product takes every
-    psi_t through B and all of its P variants at once.  The rows go
-    through in blocks of ``_ROW_BLOCK``, so beyond the cached (rows x d)
-    diagonals and the Jacobian, peak memory is the basis batch,
-    ``(1 + P) d**2`` amplitudes held twice (as run and as the product's
+    acts as ``psi @ B^T``; the operand holds B^T and its P variants side
+    by side, so one product takes every psi_t through all of them.  The
+    rows go through in blocks of ``_ROW_BLOCK``, so beyond the cached
+    (rows x d) diagonals and the Jacobian, peak memory is the closing
+    block's unitaries, ``(1 + P) d**2`` amplitudes held twice (the
+    builder's last two layers, then the unitaries and the product's
     operand), plus one block's ``(_ROW_BLOCK, 1 + P, d)`` states and a
-    few (_ROW_BLOCK x d) arrays.
+    few (_ROW_BLOCK x d) arrays.  The opening block is built as first
+    columns only, ``(1 + P_open) d`` amplitudes.
     """
     opening, _, observable = _trimmed(spec)
     _, closing, closing_cols = _diagonal_program(spec)
     n, d = spec.total_qubits, 1 << spec.total_qubits
     cols, opened = _opening_tangents(spec, theta, opening)
-    variants = _shifted(theta, closing_cols)
-    turned = _apply_ops(np.tile(np.eye(d, dtype=np.complex128), (len(variants), 1, 1)),
-                        n, closing, variants, None)
-    operand = turned.transpose(1, 0, 2).reshape(d, -1)
+    unitaries = _block_unitaries(closing, n, _shifted(theta, closing_cols))
+    operand = unitaries.transpose(2, 0, 1).reshape(d, -1)
     phases = _phases(spec, xs.shape, xs.tobytes())
     values = np.empty(xs.shape[0])
     jac = np.zeros((xs.shape[0], theta.size))
@@ -766,7 +880,7 @@ def _diagonal_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> t
         lam = observable * phi.conj()
         jac[block, closing_cols] = (states[:, 1:] @ lam[:, :, None])[..., 0].real
         if cols:
-            jac[block, cols] = ((lam @ turned[0].T) * phases[block] @ opened[1:].T).real
+            jac[block, cols] = ((lam @ unitaries[0]) * phases[block] @ opened[1:].T).real
     return values, jac
 
 

@@ -8,25 +8,28 @@ everywhere, the range of a quantum model.
 Both model families train through one loop: full-batch (or seeded
 random-batch) mean-squared-error gradient descent with bias-corrected
 Adam.  The loop owns batch selection, the loss and test-loss traces, the
-divergence abort and the result record.  A thin adapter per family
-validates its inputs, keeps its resource counters and hands the loop
-three callables: values and Jacobian on a batch, exact values on the
-training or test data, and coefficient recovery.  The quantum Jacobian
-is one ``values_and_jacobian`` call per step.  With exact expectations a
-``Parallel`` model on enough data points runs no gate per point: its
-trainable blocks run once (the closing one on the basis states) and the
-data enter as one diagonal phase per point, under one rule that compares
-the estimated work of that engine with the adjoint's.  Other models take
-an adjoint pass that runs the opening trainable block once and, per data
-point, only the gates from the first encoding on (trailing gates folded
-into the observable).  With ``shots`` it is the parameter-shift rule over
-sampled circuits.  Either way the quantum resource counters
-price the parameter-shift protocol, ``2 N_tp + 1`` circuits of the full
-program per batch point, which is what hardware would run.  The
-classical Jacobian is the batch's rows of the precomputed feature
-matrix, cut to the model's leading columns.  Both families recover
-their coefficients in the classical feature basis, on the lattice the
-model itself fixes, so recovery never reads the training inputs.
+divergence abort and the result record; a full batch gathers nothing, so
+every step reads views of the dataset's own arrays.  A thin adapter per
+family validates its inputs, keeps its resource counters and hands the
+loop three callables: values and Jacobian on a batch, exact values on
+the training or test data, and coefficient recovery.  The quantum
+Jacobian is one ``values_and_jacobian`` call per step.  With exact
+expectations a ``Parallel`` model that the engine rule accepts (one
+layer up to six qubits at any number of data points) runs no gate kernel
+in a step: its trainable blocks are built once as Kronecker layers of
+2x2 rotations and CNOT permutations, and the data enter as one diagonal
+phase per point.  The rule compares the estimated work of that engine
+with the adjoint's.  Other models take an adjoint pass that builds the
+opening trainable block once and, per data point, runs only the gates
+from the first encoding on (trailing gates folded into the observable).
+With ``shots`` it is the parameter-shift rule over sampled circuits.
+Either way the quantum resource counters price the parameter-shift
+protocol, ``2 N_tp + 1`` circuits of the full program per batch point,
+which is what hardware would run.  The classical Jacobian is the batch's
+rows of the precomputed feature matrix, cut to the model's leading
+columns.  Both families recover their coefficients in the classical
+feature basis, on the lattice the model itself fixes, so recovery never
+reads the training inputs.
 
 Every stochastic choice (parameter initialization, batch selection, shot
 sampling, target generation) flows from explicit seeds, so a (seed,
@@ -254,7 +257,13 @@ class AdamState:
 
 
 def adam_step(state: AdamState, grads, lr: float) -> AdamState:
-    """One bias-corrected Adam update; mutates and returns ``state``."""
+    """One bias-corrected Adam update; mutates and returns ``state``.
+
+    The moments are updated in place and the update runs through two
+    scratch arrays, with the operations of the textbook formula in its
+    order, so every bit is the formula's.  ``state.params`` is replaced by
+    a new array, so an earlier step's parameters are left as they were.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != state.params.shape:
         raise ValueError(f"gradient shape {grads.shape} != params {state.params.shape}")
@@ -265,14 +274,25 @@ def adam_step(state: AdamState, grads, lr: float) -> AdamState:
         )
     state.step_count += 1
     t = state.step_count
-    state.m = _BETA1 * state.m + (1.0 - _BETA1) * grads
-    state.v = _BETA2 * state.v + (1.0 - _BETA2) * grads**2
-    m_hat = state.m / (1.0 - _BETA1**t)
-    v_hat = state.v / (1.0 - _BETA2**t)
+    # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g**2
+    scratch = np.multiply(1.0 - _BETA1, grads)
+    state.m *= _BETA1
+    state.m += scratch
+    np.square(grads, out=scratch)
+    scratch *= 1.0 - _BETA2
+    state.v *= _BETA2
+    state.v += scratch
+    # params - lr m_hat / (sqrt(v_hat) + EPS), bias-corrected m_hat and v_hat
+    step = np.divide(state.m, 1.0 - _BETA1**t)
+    np.divide(state.v, 1.0 - _BETA2**t, out=scratch)
     # an overflowing update gives non-finite parameters, which ``_fit``
     # refuses as a divergence right after this step
     with np.errstate(over="ignore", invalid="ignore"):
-        state.params = state.params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        np.sqrt(scratch, out=scratch)
+        scratch += _EPS
+        step *= lr
+        step /= scratch
+        state.params = state.params - step
     return state
 
 
@@ -352,9 +372,11 @@ def train(
     raise TypeError(f"cannot train object of type {type(model).__name__}")
 
 
-def _batch_indices(rng: np.random.Generator, n: int, batch_size: int | None) -> np.ndarray:
+def _batch_indices(rng: np.random.Generator, n: int, batch_size: int | None) -> np.ndarray | slice:
+    """The rows of one step: a seeded draw, or ``slice(None)`` for the whole
+    dataset, which indexes every array as a view and gathers nothing."""
     if batch_size is None or batch_size >= n:
-        return np.arange(n)
+        return slice(None)
     return rng.choice(n, size=batch_size, replace=False)
 
 
@@ -394,7 +416,7 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
             test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
         if not np.isfinite(loss) or loss > _DIVERGENCE_THRESHOLD:
             raise diverged(f"loss {loss} exceeded divergence threshold after {len(trace)} steps")
-        grad = (2.0 / idx.size) * (jac.T @ residual)
+        grad = (2.0 / residual.size) * (jac.T @ residual)
         adam_step(state, grad, cfg.learning_rate)
         if not np.isfinite(state.params).all():
             raise diverged(f"non-finite parameters after {len(trace)} steps")
@@ -427,7 +449,7 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
     def batch(params, idx):
         values, jac = values_and_jacobian(spec, params, data.inputs[idx], shots=cfg.shots, rng=rng)
         # the parameter-shift hardware cost, also when the Jacobian was simulated
-        evaluations = (2 * n_tp + 1) * idx.size
+        evaluations = (2 * n_tp + 1) * values.size
         counters["circuit_evaluations"] += evaluations
         counters["gate_operations"] += n_gt * evaluations
         if cfg.shots is not None:
@@ -475,8 +497,8 @@ def _train_classical(
 
     def batch(params, idx):
         rows = phi[idx]
-        counters["forward_passes"] += idx.size
-        counters["dot_operations"] += 2 * idx.size * dim  # forward + gradient
+        counters["forward_passes"] += len(rows)
+        counters["dot_operations"] += 2 * len(rows) * dim  # forward + gradient
         return rows @ params, rows
 
     def exact(params, test):

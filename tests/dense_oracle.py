@@ -1,12 +1,14 @@
 """Dense d x d oracles for the compiled circuit program and the plateau lab.
 
-The package evaluates circuits gate by gate and samples the plateau lab's
-Haar blocks as isometries.  These helpers build the same objects as
-explicit matrices instead: an explicit unitary applied on chosen qubits
-(the gate kernels' oracle), the unitary of the first trainable block, the
-diagonal of the encoding run after it, and the plateau lab's full
-propagation through dense d x d blocks.  They are slow and exist only to
-check the fast paths.
+The package evaluates circuits gate by gate, builds its trainable blocks
+as Kronecker layers, and samples the plateau lab's Haar blocks as
+isometries.  These helpers build the same objects as explicit matrices
+instead: an explicit unitary applied on chosen qubits (the gate kernels'
+oracle), the unitaries of a run of ops computed by the gate kernels on
+the basis states (the block builder's oracle), the unitary of the first
+trainable block, the diagonal of the encoding run after it, and the
+plateau lab's full propagation through dense d x d blocks.  They are
+slow and exist only to check the fast paths.
 """
 
 import math
@@ -39,11 +41,20 @@ def block_unitaries(spec, angles):
     n_block = sum(op[0] != "cnot" for op in block)
     if angles.ndim != 2 or angles.shape[1] != n_block:
         raise ValueError(f"angles must have shape (size, {n_block}), got {angles.shape}")
-    # the block's ops run on the 2**n basis states at once: row j of entry
-    # v is U_v |j>, so the unitary is the transpose
-    d = 1 << spec.total_qubits
-    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (angles.shape[0], d, d)).copy()
-    return qfflm._apply_ops(basis, spec.total_qubits, block, angles, None).swapaxes(-1, -2)
+    return gate_unitaries(block, spec.total_qubits, angles)
+
+
+def gate_unitaries(ops, n, thetas):
+    """Dense unitaries of a tuple of trainable and CNOT ops, run by the gate kernels.
+
+    ``thetas`` has shape ``(size, n_angles)`` and the ops read their angle
+    columns from it.  Returns shape ``(size, 2**n, 2**n)``.
+    """
+    # the ops run on the 2**n basis states at once: row j of entry v is
+    # U_v |j>, so the unitary is the transpose
+    d = 1 << n
+    basis = np.broadcast_to(np.eye(d, dtype=np.complex128), (thetas.shape[0], d, d)).copy()
+    return qfflm._apply_ops(basis, n, ops, thetas, None).swapaxes(-1, -2)
 
 
 def encoding_diagonal(spec, x):

@@ -30,7 +30,7 @@ from fourierqml.spectra import EncodingSpec, exponential_weights, naive_weights,
 from fourierqml.statevector import expectation_z, sample_expectation_z
 from fourierqml.trainer import make_random_fourier_target
 
-from dense_oracle import block_unitaries, encoding_diagonal
+from dense_oracle import block_unitaries, encoding_diagonal, gate_unitaries
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +189,54 @@ class TestDenseProgram:
     def test_rot_encoding_is_not_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             encoding_diagonal(sample_specs()[2], np.zeros(3))
+
+
+@st.composite
+def trimmed_blocks(draw):
+    """A trimmed opening or closing block of a small spec, with angle rows.
+
+    The closing block is the run of trainable gates and CNOTs after the
+    last kept encoding gate."""
+    topology = draw(st.sampled_from(["parallel", "parallel-2var", "serial", "ring"]))
+    n_layers = draw(st.integers(min_value=0, max_value=3))
+    rotation_params = draw(st.sampled_from([2, 3]))
+    if topology.startswith("parallel"):
+        n_variables = 2 if topology == "parallel-2var" else 1
+        n_qubits = draw(st.integers(min_value=1, max_value=4 // n_variables))
+        kwargs = dict(topology=Parallel(), encoding=exponential_weights(n_qubits))
+    elif topology == "serial":
+        n_qubits = draw(st.integers(min_value=1, max_value=2))
+        n_variables = 3 * n_qubits
+        kwargs = dict(topology=Serial(reuploads=2, encoders_per_block=1),
+                      encoding=EncodingSpec(weights=(1, 3)))
+    else:
+        n_qubits = n_variables = draw(st.integers(min_value=1, max_value=4))
+        kwargs = dict(topology=Ring(reuploads=2), encoding=EncodingSpec(weights=(1, 2)))
+    total = n_variables * n_qubits if topology.startswith("parallel") else n_qubits
+    spec = AnsatzSpec(n_variables=n_variables, n_qubits=n_qubits, n_layers=n_layers,
+                      rotation_params=rotation_params,
+                      measured_qubit=draw(st.sampled_from([1, total])), **kwargs)
+    opening, per_row, _ = qfflm._trimmed(spec)
+    encoded = [k for k, op in enumerate(per_row) if qfflm._is_encoding(op)]
+    block = opening if draw(st.booleans()) else per_row[max(encoded, default=-1) + 1:]
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    angles = rng.uniform(-np.pi, np.pi, (draw(st.integers(1, 4)), param_count(spec)))
+    return block, total, angles
+
+
+@settings(max_examples=80, deadline=None)
+@given(trimmed_blocks())
+def test_kronecker_blocks_match_the_gate_kernels(case):
+    """The block builder's unitaries and first columns equal the gate
+    kernels run on the basis states, CNOT runs (Ring's wrap-around
+    included), gate order within a qubit and later layers alike."""
+    block, n, angles = case
+    oracle = gate_unitaries(block, n, angles)
+    np.testing.assert_allclose(qfflm._block_unitaries(block, n, angles), oracle,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(qfflm._block_unitaries(block, n, angles, first_column=True),
+                               oracle[:, :, 0],
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +596,7 @@ def parallel_cases(draw):
         measured_qubit=draw(st.integers(min_value=1, max_value=n_variables * n_qubits)),
     )
     threshold = diagonal_threshold(spec)
-    if threshold is None:
+    if threshold in (None, 1):  # one side of the rule at every row count
         rows = draw(st.integers(min_value=1, max_value=64))
     else:
         rows = max(1, threshold - draw(st.sampled_from([0, 1])))
@@ -601,49 +649,66 @@ class TestDiagonalEngine:
         return shapes
 
     def test_no_kernel_sees_the_data_rows(self, monkeypatch):
-        shapes = self.kernel_shapes(monkeypatch, self.FIT_Q4, 200)
-        assert shapes and all(200 not in shape for shape in shapes)
-        # the opening block with its 8 tangents, W2's four RYs on the basis
-        assert set(shapes) == {(9, 1, 16), (5, 16, 16)}
+        # both trainable blocks are built as Kronecker layers, so no gate
+        # kernel runs at all, on the data rows or on the basis
+        assert self.kernel_shapes(monkeypatch, self.FIT_Q4, 200) == []
 
     @pytest.mark.parametrize("spec,threshold", [
-        (FIT_Q4, 17),
+        (FIT_Q4, 1),
         (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=1, topology=Parallel(),
-                    encoding=exponential_weights(6)), 259),
+                    encoding=exponential_weights(6)), 1),
         (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=3, topology=Parallel(),
-                    encoding=exponential_weights(4)), 121),
-    ], ids=["fit-q4", "parallel-6q", "parallel-4q-3-layers"])
+                    encoding=exponential_weights(4)), 1),
+        (AnsatzSpec(n_variables=1, n_qubits=5, n_layers=3, topology=Parallel(),
+                    encoding=exponential_weights(5)), 41),
+        (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=2, topology=Parallel(),
+                    encoding=exponential_weights(6)), 446),
+    ], ids=["fit-q4", "parallel-6q", "parallel-4q-3-layers", "parallel-5q-3-layers",
+            "parallel-6q-2-layers"])
     def test_rule_threshold(self, spec, threshold):
         """values_and_jacobian is the engine from the threshold on and the
         adjoint pass below it, bit for bit.  4 qubits at one layer: the
-        engine's 5 * 4 * 16**2 basis updates plus 6 * 16**2 / 20 per row
-        against the adjoint's 3 * 8 * 16 per row."""
+        engine's 5 * 16**2 updates to build the closing block plus
+        6 * 16**2 / 20 per row against the adjoint's 3 * 8 * (16 per row
+        + 4096), so the engine from the first row on.  6 qubits at two
+        layers: 19 * 13 * 64**2 updates for the block (six later qubit
+        passes) plus 20 * 64**2 / 20 per row against 3 * 29 * (64 per row
+        + 4096)."""
         assert diagonal_threshold(spec) == threshold
         theta = init_parameters(spec, make_rng(80))
-        for rows, jacobian in ((threshold, qfflm._diagonal_jacobian),
-                               (threshold - 1, qfflm._adjoint_jacobian)):
+        cases = [(threshold, qfflm._diagonal_jacobian)]
+        if threshold > 1:  # a threshold of 1 leaves no row count below it
+            cases.append((threshold - 1, qfflm._adjoint_jacobian))
+        for rows, jacobian in cases:
             xs = make_rng(81).uniform(-np.pi, np.pi, (rows, 1))
             for chosen, expected in zip(values_and_jacobian(spec, theta, xs),
                                         jacobian(spec, theta, xs)):
                 np.testing.assert_array_equal(chosen, expected)
 
     @pytest.mark.parametrize("spec,rows", [
-        (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=1, topology=Parallel(),
-                    encoding=exponential_weights(6)), 224),
+        (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=2, topology=Parallel(),
+                    encoding=exponential_weights(6)), 445),
+        (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=1, topology=Parallel(),
+                    encoding=exponential_weights(7)), 21),
         (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=1, topology=Parallel(),
                     encoding=exponential_weights(7)), 10**7),
+        (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=2, topology=Parallel(),
+                    encoding=exponential_weights(7)), 1),
         (AnsatzSpec(n_variables=1, n_qubits=8, n_layers=1, topology=Parallel(),
                     encoding=exponential_weights(8)), 10**7),
         (JACOBIAN_SPECS["ring"], 10**7),
         (AnsatzSpec(n_variables=6, n_qubits=2, n_layers=1,
                     topology=Serial(reuploads=2, encoders_per_block=1),
                     encoding=EncodingSpec(weights=(1, 3))), 10**7),
-    ], ids=["parallel-6q", "parallel-7q", "parallel-8q", "ring", "serial"])
+    ], ids=["parallel-6q", "parallel-7q-21-rows", "parallel-7q", "parallel-7q-2-layers",
+            "parallel-8q", "ring", "serial"])
     def test_rule_keeps_the_adjoint(self, spec, rows):
         # at 7 and 8 qubits the rule's price for the engine's 4**n products
-        # per row is above its price for the adjoint's gates at every row
-        # count, so it picks the adjoint; Ring and Serial encodings are
-        # never run as one diagonal
+        # per row is above its price for the adjoint's gates, so past the
+        # few rows at 7 qubits where the engine's smaller fixed cost wins it
+        # picks the adjoint; at 6 qubits a second layer's passes over the
+        # closing unitaries keep it there below 446 rows; Ring and Serial
+        # encodings are never run as one diagonal
         assert not qfflm._diagonal_fits(spec, rows)
 
 
@@ -764,8 +829,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("spec,rows,engine", [
         (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
                     encoding=exponential_weights(4)), 200, True),
-        (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=1, topology=Parallel(),
-                    encoding=exponential_weights(4)), 3, False),
+        (AnsatzSpec(n_variables=1, n_qubits=5, n_layers=3, topology=Parallel(),
+                    encoding=exponential_weights(5)), 3, False),
         (AnsatzSpec(n_variables=4, n_qubits=4, n_layers=1, topology=Ring(reuploads=1),
                     encoding=EncodingSpec(weights=(1,))), 5, False),
     ], ids=["diagonal-engine", "adjoint", "ring"])

@@ -179,6 +179,26 @@ class TestAdam:
         adam_step(state, np.array([5.0, -0.01, 1e-6]), lr=0.02)
         np.testing.assert_allclose(np.abs(state.params), 0.02, rtol=1e-2)
 
+    def test_in_place_update_is_the_textbook_formula(self):
+        """50 steps of random gradients over many magnitudes, bit for bit."""
+        rng = make_rng(88)
+        state = AdamState.initialize(rng.uniform(-np.pi, np.pi, 7))
+        params, m, v = state.params.copy(), np.zeros(7), np.zeros(7)
+        for t in range(1, 51):
+            grads = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8, 7)
+            lr = 10.0 ** rng.uniform(-4, 1)
+            m = 0.9 * m + (1.0 - 0.9) * grads
+            v = 0.999 * v + (1.0 - 0.999) * grads**2
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            params = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            before = state.params
+            assert adam_step(state, grads, lr) is state
+            assert state.step_count == t
+            for got, expected in ((state.params, params), (state.m, m), (state.v, v)):
+                assert np.array_equal(got, expected)
+            assert before is not state.params
+
     def test_nan_gradient_raises(self):
         state = AdamState.initialize(np.zeros(2))
         with pytest.raises(TrainingError, match="non-finite"):

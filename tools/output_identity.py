@@ -34,6 +34,7 @@ _QUANTUM = {
                "target_seed": 3},
     "n_points": 60, "steps": 20, "learning_rate": 0.05,
 }
+_Q4_TARGET = {"kind": "random_fourier", "kappa": 81, "split": 64, "r": 0.05, "target_seed": 3}
 _CLASSICAL = {
     "version": "train-v1", "seed": 1, "family": "classical", "degree": 13,
     "target": {"kind": "step"}, "n_points": 40, "steps": 20, "learning_rate": 0.1,
@@ -51,6 +52,12 @@ MATRIX = [
      dict(_QUANTUM, n_qubits=2, encoding=[1, 7], recover_coefficients=True)),
     ("train-quantum-diverge", "train",
      dict(_QUANTUM, target={"kind": "step"}, n_points=40, steps=2, learning_rate=1.7e308)),
+    # the benchmark's fit-q4 shape, on the diagonal engine, and 7 qubits on
+    # 200 points, on the adjoint pass; both read <Z> over 8 or more
+    # amplitudes per half
+    ("train-quantum-q4", "train", dict(_QUANTUM, n_qubits=4, n_points=200, target=_Q4_TARGET)),
+    ("train-quantum-q7-adjoint", "train",
+     dict(_QUANTUM, n_qubits=7, n_points=200, steps=5, target=_Q4_TARGET)),
     ("train-classical-full", "train", _CLASSICAL),
     ("train-classical-leading", "train", dict(_CLASSICAL, dimension=9)),
     ("train-classical-batch-recover", "train",
