@@ -30,12 +30,13 @@ Trainable blocks are hardware-efficient: ``n_layers`` repetitions of
 per-qubit rotations (RY then RZ with ``rotation_params=2``, or a full
 ``Rot`` with 3) followed by a CNOT line (ring for ``Ring``).
 
-Evaluation runs the compiled gate program over amplitude arrays of shape
-``(theta_variants, data_points, 2**n)`` whose row axis is the fastest in
-memory, so a gate on any qubit walks runs that span every row.  The
-opening trainable block never reads the data, so it runs once per
-variant and its state is copied to every row; every later gate acts on
-the whole batch in place.
+Evaluation runs over amplitude arrays of shape ``(theta_variants,
+data_points, 2**n)``, rows fastest in memory.  The opening block reads
+no data, so it runs gate by gate once per variant and is copied to every
+row.  The gates after it run as the layers of ``_layers``: gates on
+different qubits commute, so each qubit's gates between two runs of
+CNOTs are one 2x2 per row, one kernel call, and a run of CNOTs is one
+gather.  ``_apply_ops``, gate by gate, is the oracle of these passes.
 
 Exact Jacobians come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823) over a trimmed copy of the program, fixed by the spec:
@@ -64,22 +65,21 @@ built once as ``2**n x 2**n`` unitaries, with one pi-shifted variant per
 trainable angle, and the values and every column are row-by-matrix
 products; no gate kernel runs at all.  The diagonals ``D(x_t)`` of the
 last dataset seen are kept, so a full-batch fit computes them once.  One
-rule, ``_diagonal_fits``, picks this engine: its estimated work,
-building the closing block plus the per-row products, may not exceed
-the adjoint pass's gate work on the rows with each kernel call's fixed
-cost.  Every other exact Jacobian
-takes the adjoint pass, which is also the engine's test oracle.  One
-forward pass over the data takes the opening state to the final states;
-one backward pass undoes the kept gates in reverse, carrying the states
-together with the observable applied to them and reading each later
-trainable angle's derivative on the way, in closed form from the
-qubit's two halves of both.  The co-state it carries back
-to the end of the opening block meets the opening tangents in one matrix
-product.  Dropped and folded trainable gates have derivative exactly 0
-in both.  With finite shots every circuit of the parameter-shift rule
-is a separately sampled measurement, so the ``2 N_tp + 1`` shifted
-variants run as one batch on the full program; the same shift rule is
-the exact-gradient oracle (``gradient_parameter_shift``).
+rule, ``_diagonal_fits``, picks this engine by its estimated work
+against the adjoint pass's.  Every other exact Jacobian takes the
+adjoint pass, which is also the engine's test oracle.  One forward pass
+over the data takes the opening state to the final states; one backward
+pass walks the layers in reverse, carrying the states together with the
+observable applied to them.  At the end of each local layer it reads
+every trainable column of the layer, from the per-row cross operator of
+the two on the gate's qubit, then undoes the layer.  The co-state it
+carries back to the end of the opening block meets the opening tangents
+in one matrix product.  Dropped and folded trainable gates have
+derivative exactly 0 in both.  With finite shots every circuit of the
+parameter-shift rule is a separately sampled measurement, so the
+``2 N_tp + 1`` shifted variants run as one batch on the full program;
+the same shift rule is the exact-gradient oracle
+(``gradient_parameter_shift``).
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ from .spectra import EncodingSpec
 from .statevector import (
     MAX_QUBITS,
     apply_cnot,
+    apply_matrix,
     apply_ry,
     apply_rz,
     expectation_z,
@@ -118,15 +119,15 @@ __all__ = [
     "fourier_coefficients",
 ]
 
-# One complex multiply-add inside a matrix product costs about 1/20 of an
-# amplitude update by a gate kernel, and a kernel call costs about 4096
-# updates whatever its size (8-18 us against about 3 ns per update).
-# Timed with one BLAS thread on a 2-core Xeon, on Parallel specs with one
-# layer and 4-8 qubits at 200 and 3**n rows, and with 2-4 layers at 1 to
-# 1500 rows, the rule's pick was never more than 1.2 times slower than
-# the other engine.
-_PRODUCT_SPEEDUP = 20
-_CALL_UPDATES = 4096
+# A complex multiply-add in a matrix product costs about 1/16 of an
+# amplitude update by a gate kernel; the adjoint pass costs about 8
+# updates per amplitude, plus 32768, per qubit chain of a local layer.
+# Timed with one BLAS thread on a 2-core Xeon over 220 Parallel specs
+# (1-2 variables, 2-8 qubits, 1-3 layers, both rotation sets, 1-1024
+# rows), no pick was more than 1.24 times slower than the other engine.
+_PRODUCT_SPEEDUP = 16
+_CHAIN_UPDATES = 8
+_CHAIN_CALL = 32768
 # Rows per product in the diagonal engine: its (rows, 1 + P, d) states
 # are built one block at a time, so their size does not grow with the data.
 _ROW_BLOCK = 512
@@ -454,7 +455,7 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     axis, so one pass covers every (theta variant, datum) pair.  The
     opening block reads no data: it runs on one row per variant, which is
     then copied to every row of a ``_rows_fastest`` batch, with the same
-    arithmetic as a full batch.
+    arithmetic as a full batch; ``_run_rows`` runs the rest.
     Shapes and finiteness are the caller's to check (``_as_theta``,
     ``_as_inputs``).
     """
@@ -463,7 +464,31 @@ def _run_batch(spec: AnsatzSpec, thetas: np.ndarray, xs: np.ndarray) -> np.ndarr
     n_open = _opening_length(ops)
     amps = _rows_fastest(thetas.shape[0], xs.shape[0], n)
     amps[...] = _apply_ops(_zero_states(thetas.shape[0], n), n, ops[:n_open], thetas, None)
-    return _apply_ops(amps, n, ops[n_open:], thetas, xs)
+    return _run_rows(amps, n, ops[n_open:], thetas, xs)
+
+
+def _run_rows(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Apply ``ops`` to a ``_rows_fastest`` batch in place, a layer of ``_layers`` at a time."""
+    phases = _half_phases(ops, thetas, xs)
+    scratch = np.empty_like(amps)
+    for layer in _layers(ops, n)[2]:
+        _apply_layer(amps, scratch, n, layer, phases)
+    return amps
+
+
+def _half_phases(ops: tuple, thetas: np.ndarray, xs: np.ndarray) -> dict:
+    """``exp(-i t / 2)`` of the angle t of every single-qubit gate of ``ops``, by op.
+
+    Trainable angles come from ``thetas[:, i]``, shape (variants, 1), and
+    encoding angles from ``xs[:, j]``, shape (rows,).
+    """
+    encoded = [op for op in ops if _is_encoding(op)]
+    trainable = np.exp(-0.5j * thetas)
+    phases = {op: trainable[:, op[2], None] for op in ops if op[0] in ("ry", "rz")}
+    if encoded:
+        weights = np.array([op[3] for op in encoded])[:, None]
+        phases.update(zip(encoded, np.exp(-0.5j * weights * xs.T[[op[2] for op in encoded]])))
+    return phases
 
 
 def _zero_states(variants: int, n: int) -> np.ndarray:
@@ -501,6 +526,48 @@ def _apply_ops(amps: np.ndarray, n: int, ops: tuple, thetas: np.ndarray, xs) -> 
         else:  # cnot
             amps = apply_cnot(amps, n, op[1], op[2])
     return amps
+
+
+def _apply_layer(amps: np.ndarray, scratch: np.ndarray, n: int, layer, phases: dict,
+                 undo: bool = False) -> None:
+    """Apply one layer of ``_layers``, or with ``undo`` its inverse, in place.
+
+    ``amps`` is a ``_rows_fastest`` batch and ``scratch`` an array of its
+    shape and layout, shared by every call of a pass.  A local layer is
+    one ``apply_matrix`` call per qubit; a permutation is one gather.
+    """
+    if isinstance(layer, np.ndarray):
+        mem, tmp = amps.swapaxes(-1, -2), scratch.swapaxes(-1, -2)  # C-ordered (..., 2**n, rows)
+        if undo:
+            tmp[..., layer, :] = mem
+        else:
+            np.take(mem, layer, axis=-2, out=tmp, mode="clip")
+        mem[...] = tmp
+        return
+    for q, chain in layer[1]:
+        apply_matrix(amps, n, q + 1, _chain_matrix(chain, phases, undo), scratch)
+
+
+def _chain_matrix(chain: tuple, phases: dict, adjoint: bool = False) -> np.ndarray:
+    """The product of one qubit's gates in a local layer, (variants, rows, 2, 2) or broadcastable.
+
+    Every gate is in SU(2), so the product is ``[[a, -b*], [b, a*]]`` and
+    only ``(a, b)`` is carried; its inverse is ``(a*, -b)``.
+    """
+    a, b = 1.0, 0.0
+    for op in chain:
+        phase = phases[op]
+        if op[0].endswith("ry"):  # phase = cos(t/2) - i sin(t/2)
+            c, s = phase.real, phase.imag
+            a, b = c * a + s * b, c * b - s * a
+        else:
+            a, b = phase * a, phase.conj() * b
+    if adjoint:
+        a, b = np.conj(a), -b
+    matrix = np.empty(np.broadcast(a, b).shape + (2, 2), dtype=np.complex128)
+    matrix[..., 0, 0], matrix[..., 0, 1] = a, -np.conj(b)
+    matrix[..., 1, 0], matrix[..., 1, 1] = b, np.conj(a)
+    return matrix
 
 
 def _shift_rule(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray, shots: int | None, rng) -> tuple:
@@ -628,19 +695,20 @@ def _opening_tangents(spec: AnsatzSpec, theta: np.ndarray, opening: tuple) -> tu
 
 @lru_cache(maxsize=None)
 def _layers(ops: tuple, n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """A block of trainable gates and CNOTs, compiled for ``_block_unitaries``.
+    """Ops compiled for ``_block_unitaries`` and the per-row ``_apply_layer``.
 
     Returns ``(cols, half_turns, layers)``: the angle column of every
     single-qubit gate in order, its ``R_G(pi)`` (shape (gates, 2, 2)), and
-    the block as alternating local layers and basis permutations, opening
-    with a local layer (one without gates if the block opens with a CNOT).
+    the ops as alternating local layers and basis permutations, opening
+    with a local layer (one without gates if the ops open with a CNOT).
     Gates on different qubits commute, so a run of single-qubit gates is
-    a local layer ``(rounds, qubits)``: ``rounds[r, q - 1]`` is the index
+    a local layer ``(rounds, chains)``: ``rounds[r, q - 1]`` is the index
     of the r-th gate on qubit q, or ``len(cols)`` (the identity) past its
-    last one, and ``qubits`` are the 0-based qubits with gates.  A run of
-    CNOTs is composed into one read-only index array ``perm`` that maps
-    amplitudes ``psi`` to ``psi[perm]``; a CNOT flips the target bit of
-    the basis index where the control bit is set.
+    last one, and ``chains`` pairs each 0-based qubit with gates with its
+    ops in order, encoding gates included.  A run of CNOTs is composed
+    into one read-only index array ``perm`` that maps amplitudes ``psi``
+    to ``psi[perm]``; a CNOT flips the target bit of the basis index
+    where the control bit is set.
     """
     indices = np.arange(1 << n)
     # R_G(pi) = -iG of each trainable gate, so R_G(t) = cos(t/2) I + sin(t/2) R_G(pi)
@@ -656,9 +724,9 @@ def _layers(ops: tuple, n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
             continue
         if not runs or isinstance(runs[-1], np.ndarray):
             runs.append([[] for _ in range(n)])
-        runs[-1][op[1] - 1].append(len(cols))
+        runs[-1][op[1] - 1].append((len(cols), op))
         cols.append(op[2])
-        half_turns.append(half_turn[op[0]])
+        half_turns.append(half_turn[op[0][-2:]])
     if not runs or isinstance(runs[0], np.ndarray):
         runs.insert(0, [[] for _ in range(n)])
     layers = []
@@ -669,9 +737,10 @@ def _layers(ops: tuple, n: int) -> tuple[np.ndarray, np.ndarray, tuple]:
             continue
         rounds = np.full((max(1, *map(len, run)), n), len(cols))
         for q, chain in enumerate(run):
-            rounds[:len(chain), q] = chain
+            rounds[:len(chain), q] = [k for k, _ in chain]
         rounds.flags.writeable = False
-        layers.append((rounds, tuple(q for q, chain in enumerate(run) if chain)))
+        layers.append((rounds, tuple((q, tuple(op for _, op in chain))
+                                     for q, chain in enumerate(run) if chain)))
     half_turns = np.array(half_turns, dtype=np.complex128).reshape(-1, 2, 2)
     cols = np.array(cols, dtype=np.intp)
     half_turns.flags.writeable = cols.flags.writeable = False
@@ -714,8 +783,8 @@ def _block_unitaries(ops: tuple, n: int, angles: np.ndarray, first_column: bool 
         if isinstance(layer, np.ndarray):
             state = state[:, layer]
             continue
-        rounds, qubits = layer
-        for q in qubits:
+        rounds, chains = layer
+        for q, _ in chains:
             factor = mats[:, rounds[0, q]]
             for gate in rounds[1:, q]:
                 factor = mats[:, gate] @ factor
@@ -728,48 +797,67 @@ def _adjoint_jacobian(spec: AnsatzSpec, theta: np.ndarray, xs: np.ndarray) -> tu
     """Values and Jacobian from one forward and one backward pass over the rows."""
     # With phi the state after a trainable gate R_G(t) and lam = O
     # phi_final carried back to the same point, O the observable,
-    # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the gates
-    # run per row in reverse, each gate's derivative is read from the
-    # qubit's two halves of phi and lam, then the gate is undone on the
-    # (phi, lam) pair; below the first such read only lam is carried on,
-    # to the end of the opening block.
+    # df/dt = Re <lam| -iG |phi>, and -iG = R_G(pi).  Walking the layers
+    # in reverse, each local layer's columns are read at its end, then
+    # the layer is undone on the (phi, lam) pair, the first one on lam
+    # alone, which is carried to the end of the opening block.
     opening, per_row, observable = _trimmed(spec)
     n = spec.total_qubits
-    thetas = theta[None, :]
     cols, opened = _opening_tangents(spec, theta, opening)
+    layers, phases = _layers(per_row, n)[2], _half_phases(per_row, theta[None, :], xs)
     pair = _rows_fastest(2, xs.shape[0], n)
+    scratch = np.empty_like(pair)
     pair[0] = opened[0]
-    phi = _apply_ops(pair[:1], n, per_row, thetas, xs)[0]  # in place: phi is pair[0]
-    values = (phi.real**2 + phi.imag**2) @ observable
-    np.multiply(observable, phi, out=pair[1])
-    undo_thetas, undo_xs = -thetas, -xs
+    for layer in layers:
+        _apply_layer(pair[:1], scratch[:1], n, layer, phases)
+    np.multiply(observable, pair[0], out=pair[1])
+    values = np.einsum("rd,rd->r", pair[0], np.conjugate(pair[1], out=scratch[1])).real
     jac = np.zeros((xs.shape[0], theta.size))
-    first = next((k for k, op in enumerate(per_row) if op[0] in ("ry", "rz")), len(per_row))
-    for k in range(len(per_row) - 1, first - 1, -1):
-        op = per_row[k]
-        if op[0] in ("ry", "rz"):
-            jac[:, op[2]] = _generator_read(pair, n, op)
-        if k > first:
-            pair = _apply_ops(pair, n, (op,), undo_thetas, undo_xs)
+    for k in range(len(layers) - 1, -1, -1):
+        if isinstance(layers[k], tuple):
+            _read_layer(pair, scratch, n, layers[k], phases, jac)
+        if k or cols:
+            undone = slice(None) if k else slice(1, None)
+            _apply_layer(pair[undone], scratch[undone], n, layers[k], phases, undo=True)
     if cols:
-        lam = _apply_ops(pair[1:], n, per_row[:first + 1][::-1], undo_thetas, undo_xs)[0]
-        jac[:, cols] = (lam.conj() @ opened[1:].T).real
+        jac[:, cols] = (np.conjugate(pair[1], out=scratch[1]) @ opened[1:].T).real
     return values, jac
 
 
-def _generator_read(pair: np.ndarray, n: int, op: tuple) -> np.ndarray:
-    """``Re <lam| R_G(pi) |phi>`` per row for the trainable gate ``op``.
+def _read_layer(pair: np.ndarray, scratch: np.ndarray, n: int, layer: tuple, phases: dict,
+                jac: np.ndarray) -> None:
+    """Write the columns of a local layer's trainable gates, read at its end.
 
-    ``pair`` stacks phi and lam, shape (2, rows, 2**n).  On the gate's
-    qubit R_Y(pi) = [[0, -1], [1, 0]] and R_Z(pi) = diag(-i, i), so the
-    read needs only the two halves of phi and lam, and no gate runs.
+    ``pair`` stacks phi and lam, shape (2, rows, 2**n).  Gates on other
+    qubits commute with qubit q's chain, so a gate G on it has column
+    ``Re tr(R_G(pi) S^dag K S)``, S the chain's later gates and K the
+    per-row ``K[a, b] = sum_rest phi[a, rest] conj(lam[b, rest])`` on q.
+    As ``R_G(pi) = -iG``, that is ``v_y`` (RY) or ``v_z`` (RZ) of
+    ``v_k = Im tr(sigma_k S^dag K S)``, which S's gates rotate as they
+    rotate the Bloch sphere.  conj(lam) goes to ``scratch[1]``.
     """
-    q = op[1]
-    phi, lam = pair.reshape(2, pair.shape[1], 1 << (q - 1), 2, 1 << (n - q))
-    phi0, phi1, lam0, lam1 = phi[:, :, 0], phi[:, :, 1], lam[:, :, 0], lam[:, :, 1]
-    if op[0] == "ry":
-        return (lam1.conj() * phi0 - lam0.conj() * phi1).real.sum(axis=(1, 2))
-    return (lam0.conj() * phi0 - lam1.conj() * phi1).imag.sum(axis=(1, 2))
+    rows = pair.shape[1]
+    lam_conj = np.conjugate(pair[1], out=scratch[1])
+    for q, chain in layer[1]:
+        if all(_is_encoding(op) for op in chain):
+            continue
+        shape = (rows, 1 << q, 2, 1 << (n - 1 - q))
+        phi, lam = pair[0].reshape(shape), lam_conj.reshape(shape)
+        cross = [[np.einsum("rik,rik->r", phi[:, :, a], lam[:, :, b]) for b in (0, 1)]
+                 for a in (0, 1)]
+        vx = (cross[0][1] + cross[1][0]).imag
+        vy = (cross[0][1] - cross[1][0]).real
+        vz = (cross[0][0] - cross[1][1]).imag
+        for op in reversed(chain):
+            ry = op[0].endswith("ry")
+            if not _is_encoding(op):
+                jac[:, op[2]] = vy if ry else vz
+            turn = phases[op] ** 2  # cos t - i sin t
+            c, s = turn.real, turn.imag
+            if ry:
+                vz, vx = c * vz - s * vx, c * vx + s * vz
+            else:
+                vx, vy = c * vx - s * vy, c * vy + s * vx
 
 
 @lru_cache(maxsize=None)
@@ -800,33 +888,26 @@ def _diagonal_fits(spec: AnsatzSpec, rows: int) -> bool:
     The spec must be ``Parallel``, whose data enter only through the
     diagonal encoding, and the engine's work must not exceed the adjoint
     pass's.  Counted in amplitude updates by a gate kernel, with
-    ``d = 2**n``, P trainable gates in the kept closing block, Q qubit
-    passes in its local layers after the first (``_layers``), and G gates
-    run per row: the engine builds the closing block's ``1 + P``
-    unitaries, about one update per entry for the Kronecker product and
-    two per later pass, ``(1 + P)(1 + 2Q) d**2`` updates, then takes
-    ``2 + P`` products of (rows x d) by (d x d), whose
-    ``rows (2 + P) d**2`` multiply-adds cost ``1 / _PRODUCT_SPEEDUP``
-    update each; the adjoint pass calls a kernel about three times per
-    per-row gate (forward, undone on the pair or the co-state, and read),
-    each call updating ``rows d`` amplitudes at a fixed cost of
-    ``_CALL_UPDATES``, ``3 G (rows d + _CALL_UPDATES)`` updates.  The
-    engine's per-row cost grows as ``d**2`` against the adjoint's ``G d``
-    and its fixed cost as ``d**2`` against ``G``: at one layer it takes
-    every row count up to 6 qubits, up to 20 rows at 7 qubits and none
-    from 8, and a closing block with later layers moves to it only from
-    a row count on (446 rows at 6 qubits and two layers).  So its
-    unitaries never exceed ``(1 + P) 128**2`` amplitudes.
+    ``d = 2**n``, P trainable gates in the kept closing block and Q qubit
+    passes in its local layers after the first (``_layers``): the engine
+    builds ``1 + P`` closing unitaries, one update per entry for the
+    Kronecker product and two per later pass, then makes
+    ``rows (2 + P) d**2`` multiply-adds at ``1 / _PRODUCT_SPEEDUP`` update
+    each; the adjoint pass costs ``C (_CHAIN_UPDATES rows d + _CHAIN_CALL)``
+    for the C qubit chains of its per-row layers.  At one layer the engine
+    takes every row count up to 6 qubits, up to 48 rows at 7 qubits and
+    none from 8, so its unitaries never exceed ``(1 + P) 128**2``
+    amplitudes.
     """
     if not isinstance(spec.topology, Parallel):
         return False
     _, closing, closing_cols = _diagonal_program(spec)
-    gates = len(_trimmed(spec)[1])
     n = spec.total_qubits
     variants, d = 1 + len(closing_cols), 1 << n
     later = sum(len(layer[1]) for layer in _layers(closing, n)[2][1:] if isinstance(layer, tuple))
+    chains = sum(len(layer[1]) for layer in _layers(_trimmed(spec)[1], n)[2] if isinstance(layer, tuple))
     engine = _PRODUCT_SPEEDUP * variants * (1 + 2 * later) * d + rows * (1 + variants) * d
-    return engine <= _PRODUCT_SPEEDUP * 3 * gates * (rows + _CALL_UPDATES / d)
+    return engine <= _PRODUCT_SPEEDUP * chains * (_CHAIN_UPDATES * rows + _CHAIN_CALL / d)
 
 
 @lru_cache(maxsize=1)

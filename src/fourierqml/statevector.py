@@ -32,6 +32,7 @@ __all__ = [
     "MAX_QUBITS",
     "apply_rz",
     "apply_ry",
+    "apply_matrix",
     "apply_cnot",
     "expectation_z",
     "sample_expectation_z",
@@ -86,6 +87,28 @@ def apply_ry(amps: np.ndarray, n_qubits: int, target: int, angle) -> np.ndarray:
     np.multiply(c, a1, out=new)
     new += t
     view[..., 1, :] = new
+    return amps
+
+
+def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, matrix, scratch: np.ndarray) -> np.ndarray:
+    """Apply ``matrix`` (shape ``(..., 2, 2)``, broadcast over the batch) to ``target``.
+
+    The products go through the two halves of ``scratch``, an array of
+    the shape and layout of ``amps`` that a pass shares across its calls.
+    """
+    amps = np.asarray(amps)
+    view = _axis_view(amps, n_qubits, target)
+    a0, a1 = view[..., 0, :], view[..., 1, :]
+    half = 1 << (n_qubits - 1)
+    b0, b1 = scratch[..., :half].reshape(a0.shape), scratch[..., half:].reshape(a0.shape)
+    m = np.asarray(matrix)[..., None, None]
+    np.multiply(m[..., 0, 0, :, :], a0, out=b0)
+    np.multiply(m[..., 0, 1, :, :], a1, out=b1)
+    b0 += b1
+    np.multiply(m[..., 1, 0, :, :], a0, out=b1)
+    a1 *= m[..., 1, 1, :, :]
+    a1 += b1
+    a0[...] = b0
     return amps
 
 

@@ -411,6 +411,83 @@ def test_commuting_final_rz_columns_are_exactly_zero(spec):
                                    rtol=0, atol=1e-12)
 
 
+@st.composite
+def fused_cases(draw):
+    """A spec of up to 4 qubits and 3 layers, its parameters and a few
+    rows, for the per-row passes against the gate path."""
+    topology = draw(st.sampled_from(["parallel", "serial", "ring"]))
+    if topology == "parallel":
+        n_variables = draw(st.integers(min_value=1, max_value=2))
+        n_qubits = draw(st.integers(min_value=1, max_value=4 // n_variables))
+        kwargs = dict(topology=Parallel(), encoding=exponential_weights(n_qubits))
+    elif topology == "serial":
+        n_qubits = draw(st.integers(min_value=1, max_value=4))
+        epb = draw(st.integers(min_value=1, max_value=2))
+        n_variables = 3 * n_qubits * epb
+        kwargs = dict(topology=Serial(reuploads=2, encoders_per_block=epb),
+                      encoding=EncodingSpec(weights=(1, 3)))
+    else:
+        n_qubits = n_variables = draw(st.integers(min_value=1, max_value=4))
+        kwargs = dict(topology=Ring(reuploads=2), encoding=EncodingSpec(weights=(1, 2)))
+    total = n_variables * n_qubits if topology == "parallel" else n_qubits
+    spec = AnsatzSpec(n_variables=n_variables, n_qubits=n_qubits,
+                      n_layers=draw(st.integers(min_value=0, max_value=3)),
+                      rotation_params=draw(st.sampled_from([2, 3])),
+                      measured_qubit=draw(st.integers(min_value=1, max_value=total)), **kwargs)
+    rng = make_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    return spec, init_parameters(spec, rng), rng.uniform(-np.pi, np.pi, (rows, n_variables))
+
+
+def check_fused_passes(spec, theta, xs):
+    """_run_batch against every op run gate by gate, and the adjoint pass
+    (taken directly, whatever the engine rule picks) against the shift
+    rule on the gate path, with the dropped columns exactly 0."""
+    thetas = shifted_variants(theta)
+    np.testing.assert_allclose(qfflm._run_batch(spec, thetas, xs),
+                               gate_path_amplitudes(spec, thetas, xs), rtol=0, atol=1e-14)
+    n_tp = theta.size
+    z = expectation_z(gate_path_amplitudes(spec, thetas, xs), spec.total_qubits, spec.measured_qubit)
+    values, jac = qfflm._adjoint_jacobian(spec, theta, xs)
+    np.testing.assert_allclose(values, z[0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(jac, ((z[1 : 1 + n_tp] - z[1 + n_tp :]) / 2).T, rtol=0, atol=1e-12)
+    assert np.all(jac[:, dropped_params(spec)] == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fused_cases())
+def test_fused_passes_match_the_gate_path(case):
+    """The per-row passes, one 2x2 per qubit per local layer and one
+    gather per CNOT run, over Parallel, Serial and Ring specs of up to 4
+    qubits, 0-3 layers, both rotation sets and any measured qubit."""
+    check_fused_passes(*case)
+
+
+@pytest.mark.parametrize("spec", [
+    AnsatzSpec(n_variables=3, n_qubits=1, n_layers=2,
+               topology=Serial(reuploads=2, encoders_per_block=1),
+               encoding=EncodingSpec(weights=(1, 3)), rotation_params=3),
+    AnsatzSpec(n_variables=4, n_qubits=4, n_layers=2, topology=Ring(reuploads=2),
+               encoding=EncodingSpec(weights=(1, 2)), measured_qubit=2),
+    AnsatzSpec(n_variables=12, n_qubits=4, n_layers=3,
+               topology=Serial(reuploads=2, encoders_per_block=1),
+               encoding=EncodingSpec(weights=(1, 3)), measured_qubit=3),
+    AnsatzSpec(n_variables=3, n_qubits=3, n_layers=3, topology=Ring(reuploads=1),
+               encoding=EncodingSpec(weights=(2,)), rotation_params=3, measured_qubit=1),
+    AnsatzSpec(n_variables=1, n_qubits=4, n_layers=0, topology=Parallel(),
+               encoding=exponential_weights(4)),
+], ids=["serial-1q", "ring-4q-measured-2", "serial-4q-3-layers", "ring-3q-rot-measured-1",
+        "parallel-no-layers"])
+def test_fused_passes_on_named_shapes(spec):
+    """Shapes the draws reach only by chance: a 1-qubit Serial spec, whose
+    one chain interleaves encoding and trainable gates; Ring's n -> 1 CNOT
+    inside a permutation; 3-4 qubit Serial and Ring specs with three
+    layers; a spec with no trainable gate on the rows."""
+    rng = make_rng(88)
+    check_fused_passes(spec, init_parameters(spec, rng),
+                       rng.uniform(-np.pi, np.pi, (7, spec.n_variables)))
+
+
 def dropped_params(spec):
     """Trainable angles whose gates the adjoint pass's trimmed program lacks."""
     opening, per_row, _ = qfflm._trimmed(spec)
@@ -443,9 +520,10 @@ SERIAL_ROT_4Q = AnsatzSpec(n_variables=12, n_qubits=4, n_layers=2,
 
 @pytest.mark.parametrize("rows", [1, 5, 33])
 def test_closed_form_reads_on_four_qubits(rows):
-    """The adjoint pass reads each RY and RZ column from the qubit's two
-    halves of phi and lam.  On a 4-qubit Serial spec with Rot layers, whose
-    RY and RZ gates sit on every qubit, the last two included (the
+    """The adjoint pass reads each RY and RZ column from the per-row cross
+    operator of phi and lam on its qubit, carried back through the later
+    gates of the qubit's chain.  On a 4-qubit Serial spec with Rot layers,
+    whose RY and RZ gates sit on every qubit, the last two included (the
     hypothesis cases stop at 2 qubits), the columns match the shift rule
     row by row."""
     spec = SERIAL_ROT_4Q
@@ -563,13 +641,20 @@ class TestTrimmedProgram:
     @pytest.mark.parametrize("name", list(JACOBIAN_SPECS))
     def test_run_once_opening_is_bit_identical(self, name):
         """_run_batch runs the opening block on one row per variant and
-        copies it to every row; the amplitudes equal those of every gate
-        run on the whole batch, bit for bit."""
+        copies it to every row; the amplitudes equal those of the opening's
+        gates run on the whole batch, then the same per-row pass, bit for
+        bit."""
         spec = JACOBIAN_SPECS[name]
         thetas = shifted_variants(init_parameters(spec, make_rng(74)))
         xs = make_rng(75).uniform(-np.pi, np.pi, (9, spec.n_variables))
+        ops, _ = qfflm._program(spec)
+        n, n_open = spec.total_qubits, qfflm._opening_length(ops)
+        amps = qfflm._rows_fastest(thetas.shape[0], xs.shape[0], n)
+        amps[...] = 0.0
+        amps[:, :, 0] = 1.0
+        amps = qfflm._apply_ops(amps, n, ops[:n_open], thetas, None)
         np.testing.assert_array_equal(qfflm._run_batch(spec, thetas, xs),
-                                      gate_path_amplitudes(spec, thetas, xs))
+                                      qfflm._run_rows(amps, n, ops[n_open:], thetas, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +723,7 @@ class TestDiagonalEngine:
         xs = make_rng(79).uniform(-np.pi, np.pi, (rows, spec.n_variables))
         oracle_values, oracle_jac = qfflm._adjoint_jacobian(spec, theta, xs)
         shapes = []
-        for name in ("apply_ry", "apply_rz", "apply_cnot"):
+        for name in ("apply_ry", "apply_rz", "apply_cnot", "apply_matrix"):
             def recorded(amps, *args, _kernel=getattr(qfflm, name)):
                 shapes.append(amps.shape)
                 return _kernel(amps, *args)
@@ -660,20 +745,20 @@ class TestDiagonalEngine:
         (AnsatzSpec(n_variables=1, n_qubits=4, n_layers=3, topology=Parallel(),
                     encoding=exponential_weights(4)), 1),
         (AnsatzSpec(n_variables=1, n_qubits=5, n_layers=3, topology=Parallel(),
-                    encoding=exponential_weights(5)), 41),
+                    encoding=exponential_weights(5)), 32),
         (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=2, topology=Parallel(),
-                    encoding=exponential_weights(6)), 446),
+                    encoding=exponential_weights(6)), 604),
     ], ids=["fit-q4", "parallel-6q", "parallel-4q-3-layers", "parallel-5q-3-layers",
             "parallel-6q-2-layers"])
     def test_rule_threshold(self, spec, threshold):
         """values_and_jacobian is the engine from the threshold on and the
         adjoint pass below it, bit for bit.  4 qubits at one layer: the
         engine's 5 * 16**2 updates to build the closing block plus
-        6 * 16**2 / 20 per row against the adjoint's 3 * 8 * (16 per row
-        + 4096), so the engine from the first row on.  6 qubits at two
-        layers: 19 * 13 * 64**2 updates for the block (six later qubit
-        passes) plus 20 * 64**2 / 20 per row against 3 * 29 * (64 per row
-        + 4096)."""
+        6 * 16**2 / 16 per row against the adjoint's four chains at
+        8 * 16 per row + 32768 each, so the engine from the first row on.
+        6 qubits at two layers: 19 * 13 * 64**2 updates for the block (six
+        later qubit passes) plus 20 * 64**2 / 16 per row against twelve
+        chains at 8 * 64 per row + 32768."""
         assert diagonal_threshold(spec) == threshold
         theta = init_parameters(spec, make_rng(80))
         cases = [(threshold, qfflm._diagonal_jacobian)]
@@ -687,9 +772,9 @@ class TestDiagonalEngine:
 
     @pytest.mark.parametrize("spec,rows", [
         (AnsatzSpec(n_variables=1, n_qubits=6, n_layers=2, topology=Parallel(),
-                    encoding=exponential_weights(6)), 445),
+                    encoding=exponential_weights(6)), 603),
         (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=1, topology=Parallel(),
-                    encoding=exponential_weights(7)), 21),
+                    encoding=exponential_weights(7)), 49),
         (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=1, topology=Parallel(),
                     encoding=exponential_weights(7)), 10**7),
         (AnsatzSpec(n_variables=1, n_qubits=7, n_layers=2, topology=Parallel(),
@@ -700,14 +785,14 @@ class TestDiagonalEngine:
         (AnsatzSpec(n_variables=6, n_qubits=2, n_layers=1,
                     topology=Serial(reuploads=2, encoders_per_block=1),
                     encoding=EncodingSpec(weights=(1, 3))), 10**7),
-    ], ids=["parallel-6q", "parallel-7q-21-rows", "parallel-7q", "parallel-7q-2-layers",
+    ], ids=["parallel-6q", "parallel-7q-49-rows", "parallel-7q", "parallel-7q-2-layers",
             "parallel-8q", "ring", "serial"])
     def test_rule_keeps_the_adjoint(self, spec, rows):
         # at 7 and 8 qubits the rule's price for the engine's 4**n products
         # per row is above its price for the adjoint's gates, so past the
         # few rows at 7 qubits where the engine's smaller fixed cost wins it
         # picks the adjoint; at 6 qubits a second layer's passes over the
-        # closing unitaries keep it there below 446 rows; Ring and Serial
+        # closing unitaries keep it there below 604 rows; Ring and Serial
         # encodings are never run as one diagonal
         assert not qfflm._diagonal_fits(spec, rows)
 

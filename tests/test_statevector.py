@@ -3,7 +3,9 @@
 Every specialised kernel (RZ, RY, CNOT) is checked against the same
 operation performed as an explicit unitary embedded with Kronecker
 products, with qubit 1 as the most significant bit of the basis index.
-The compiled program's three-angle Rot is checked the same way.
+The compiled program's three-angle Rot is checked the same way.  The
+per-row 2x2 kernel is checked against the dense embedding and against
+the RY and RZ kernels it stands in for.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from fourierqml.statevector import (
     apply_cnot,
+    apply_matrix,
     apply_ry,
     apply_rz,
     expectation_z,
@@ -84,7 +87,8 @@ class TestGateValidation:
         lambda amps, q: apply_rz(amps, 2, q, 0.1),
         lambda amps, q: apply_cnot(amps, 2, q, 1),
         lambda amps, q: apply_cnot(amps, 2, 1, q),
-    ], ids=["ry", "rz", "cnot-control", "cnot-target"])
+        lambda amps, q: apply_matrix(amps, 2, q, np.eye(2), np.empty_like(amps)),
+    ], ids=["ry", "rz", "cnot-control", "cnot-target", "matrix"])
     @pytest.mark.parametrize("qubit", [0, 3])
     def test_kernel_qubit_out_of_range(self, kernel, qubit):
         with pytest.raises(IndexError, match="out of range 1..2"):
@@ -299,6 +303,70 @@ def test_expectation_does_not_depend_on_layout(qubit):
     c_order = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows_fastest = np.ascontiguousarray(c_order.transpose(0, 2, 1)).transpose(0, 2, 1)
     assert np.array_equal(expectation_z(rows_fastest, 6, qubit), expectation_z(c_order, 6, qubit))
+
+
+# ---------------------------------------------------------------------------
+# per-row 2x2 kernel
+# ---------------------------------------------------------------------------
+
+def rz_matrices(angles):
+    """RZ of every angle, shape ``angles.shape + (2, 2)``."""
+    out = np.zeros(np.shape(angles) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(-0.5j * angles), np.exp(0.5j * angles)
+    return out
+
+
+def ry_matrices(angles):
+    """RY of every angle, shape ``angles.shape + (2, 2)``."""
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    out = np.zeros(np.shape(angles) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = c, -s, s, c
+    return out
+
+
+class TestApplyMatrix:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+    def test_matches_dense(self, n_qubits):
+        """Any complex 2x2, unitary or not, on every target qubit."""
+        rng = make_rng(25)
+        for target in range(1, n_qubits + 1):
+            matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            amps = random_state(n_qubits, rng)
+            expected = embed(matrix, n_qubits, target) @ amps
+            got = apply_matrix(amps.copy(), n_qubits, target, matrix, np.empty_like(amps))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("target", range(1, LAYOUT_QUBITS + 1))
+    @pytest.mark.parametrize("kind", ["per-variant", "per-row", "mixed"])
+    def test_matches_the_rotation_kernels_on_a_rows_fastest_view(self, target, kind):
+        """RZ(a1) RY(a2) RZ(a3) as one 2x2 per (variant, row) equals the
+        three RY/RZ kernel calls, on a rows-fastest batch's view that skips
+        its first variant.  The kernel writes in place through a scratch
+        view of the same layout, leaves the skipped variant alone, and
+        gives the bits it gives on the C-ordered copy."""
+        rng = make_rng(26)
+        variants, rows = LAYOUT_VARIANTS + 1, LAYOUT_ROWS
+        shape = (variants, rows, 1 << LAYOUT_QUBITS)
+        c_order = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        per_variant = rng.uniform(-np.pi, np.pi, (3, variants - 1, 1))
+        per_row = rng.uniform(-np.pi, np.pi, (3, 1, rows))
+        a1, a2, a3 = {"per-variant": per_variant, "per-row": per_row,
+                      "mixed": [per_variant[0], per_row[1], per_variant[2]]}[kind]
+        expected = c_order[1:].copy()
+        for kernel, angle in ((apply_rz, a3), (apply_ry, a2), (apply_rz, a1)):
+            expected = kernel(expected, LAYOUT_QUBITS, target, angle)
+        matrix = rz_matrices(a1) @ ry_matrices(a2) @ rz_matrices(a3)
+        assert matrix.shape[:2] == np.broadcast_shapes(np.shape(a1), np.shape(a2), np.shape(a3))
+        rows_fastest = np.ascontiguousarray(c_order.transpose(0, 2, 1)).transpose(0, 2, 1)
+        view = rows_fastest[1:]
+        scratch = np.empty_like(rows_fastest)[1:]
+        got = apply_matrix(view, LAYOUT_QUBITS, target, matrix, scratch)
+        assert np.shares_memory(got, rows_fastest)
+        np.testing.assert_allclose(rows_fastest[1:], expected, rtol=0, atol=1e-14)
+        assert np.array_equal(rows_fastest[0], c_order[0])
+        c_view = c_order[1:].copy()
+        assert np.array_equal(got, apply_matrix(c_view, LAYOUT_QUBITS, target, matrix,
+                                                np.empty_like(c_view)))
 
 
 # ---------------------------------------------------------------------------
