@@ -15,10 +15,11 @@ any band-limited function's coefficients from its values on the map's
 own grid, and ``grid_values`` synthesizes a coefficient vector's values
 on any grid fine enough to hold it, one real FFT per variable each way.
 
-An underparametrized model of ``n < K`` coefficients weighs the leading
-``n`` features.  A scaled Gaussian (Johnson-Lindenstrauss) map and the
-top principal components of the feature second-moment matrix are
-provided as feature-space projections.
+A ``ClassicalModel`` owns its feature map, as a quantum ``AnsatzSpec``
+owns its encoding; an underparametrized model of ``n < K`` coefficients
+weighs the map's leading ``n`` features.  A scaled Gaussian
+(Johnson-Lindenstrauss) map and the top principal components of the
+feature second-moment matrix are provided as feature-space projections.
 """
 
 from __future__ import annotations
@@ -174,13 +175,15 @@ def grid_values(c, fm: FeatureMap, sizes) -> np.ndarray:
 
 @dataclass
 class ClassicalModel:
-    """Linear model ``c . phi(x)[:n]`` over the leading ``n`` features.
+    """Linear model ``c . phi(x)[:n]`` over the leading ``n`` features of
+    its ``feature_map``.
 
-    ``coefficients`` holds ``n`` values, ``1 <= n <= K^M`` for the feature
-    map it trains with; ``n = K^M`` is the fully-parametrized model.
+    ``coefficients`` holds ``n`` values, ``1 <= n <= K^M`` for the map;
+    ``n = K^M`` is the fully-parametrized model.
     """
 
     coefficients: np.ndarray = field(repr=False)
+    feature_map: FeatureMap
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -188,6 +191,9 @@ class ClassicalModel:
             raise ValueError("coefficients must be a vector")
         if not np.isfinite(self.coefficients).all():
             raise ValueError("coefficients must be finite")
+        if not 1 <= self.n_parameters <= self.feature_map.dimension:
+            raise ValueError(f"dimension must be in 1..{self.feature_map.dimension}, "
+                             f"got {self.n_parameters}")
 
     @property
     def n_parameters(self) -> int:

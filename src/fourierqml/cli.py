@@ -327,25 +327,20 @@ def _build_train_pieces(config: dict):
             n_layers=config.get("n_layers", 1), topology=Parallel(),
             encoding=enc, rotation_params=config.get("rotation_params", 2),
         )
-        return model, data, cfg, None
-    degree = config.get("degree", 40)
-    fm = FeatureMap(n_variables=1, degrees=(degree,))
-    return ClassicalModel(np.zeros(config.get("dimension", fm.dimension))), data, cfg, fm
+        return model, data, cfg
+    fm = FeatureMap(n_variables=1, degrees=(config.get("degree", 40),))
+    return ClassicalModel(np.zeros(config.get("dimension", fm.dimension)), fm), data, cfg
 
 
 def _train_files(record: trainer.ResultRecord) -> dict[str, str]:
-    doc = dataclasses.asdict(record)
-    test = record.test_loss_trace
-    trace = ([step, loss, "" if test is None else test[step]]
-             for step, loss in enumerate(record.loss_trace.tolist()))
-    return {"result.json": _json(doc),
-            "trace.csv": _csv(["step", "train_loss", "test_loss"], trace)}
+    return {"result.json": _json(dataclasses.asdict(record)),
+            "trace.csv": _csv(["step", "train_loss"], enumerate(record.loss_trace.tolist()))}
 
 
 def _cmd_train(config: dict) -> _Outputs:
-    model, data, cfg, fm = _build_train_pieces(config)
+    model, data, cfg = _build_train_pieces(config)
     try:
-        record = trainer.train(model, data, cfg, feature_map=fm)
+        record = trainer.train(model, data, cfg)
     except TrainingError as exc:
         exc.files = {} if exc.record is None else _train_files(exc.record)
         raise

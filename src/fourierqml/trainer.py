@@ -5,15 +5,17 @@ is a coefficient vector in ``cfflm``'s real basis, scaled through
 ``cfflm.grid_values`` on a grid fine enough that ``|f| <= 1`` holds
 everywhere, the range of a quantum model.
 
-Both model families train through one loop: full-batch (or seeded
-random-batch) mean-squared-error gradient descent with bias-corrected
-Adam.  The loop owns batch selection, the loss and test-loss traces, the
-divergence abort and the result record; a full batch gathers nothing, so
-every step reads views of the dataset's own arrays.  A thin adapter per
-family validates its inputs, keeps its resource counters and hands the
-loop three callables: values and Jacobian on a batch, exact values on
-the training or test data, and coefficient recovery.  The quantum
-Jacobian is one ``values_and_jacobian`` call per step.  With exact
+Both model families train through one call, ``train(model, data, cfg)``:
+a quantum ``AnsatzSpec`` carries its encoding and a ``ClassicalModel``
+its feature map.  Both run one loop: full-batch (or seeded random-batch)
+mean-squared-error gradient descent with bias-corrected Adam.  The loop
+owns batch selection, the loss trace, the divergence abort and the
+result record; a full batch gathers nothing, so every step reads views
+of the dataset's own arrays.  A thin adapter per family validates its
+inputs, keeps its resource counters and hands the loop three callables:
+values and Jacobian on a batch, exact values on the training data, and
+coefficient recovery.  The quantum Jacobian is one ``values_and_jacobian``
+call per step.  With exact
 expectations a ``Parallel`` model that the engine rule accepts (one
 layer up to six qubits at any number of data points) runs no gate kernel
 in a step: its trainable blocks are built once as Kronecker layers of
@@ -93,7 +95,8 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Inputs of shape (n, M), outputs of shape (n,), plus provenance."""
+    """Inputs of shape (n, M), outputs of shape (n,), plus metadata (a CSV
+    dataset's normalization record)."""
 
     inputs: np.ndarray = field(repr=False)
     outputs: np.ndarray = field(repr=False)
@@ -140,8 +143,6 @@ class FourierTarget:
 
     coefficients: np.ndarray = field(repr=False)
     split_index: int | None = None
-    requested_ratio: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.float64)
@@ -205,7 +206,7 @@ def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> F
     energy_high = float(np.sum(c[split:] ** 2))
     c[:split] *= r * np.sqrt(energy_high / energy_low)
     c *= _NORM_MAX / float(np.abs(grid_values(c, fm, (points,))).max())
-    return FourierTarget(coefficients=c, split_index=split, requested_ratio=r, seed=seed)
+    return FourierTarget(coefficients=c, split_index=split)
 
 
 def make_grid_dataset(target, n_points: int) -> Dataset:
@@ -213,12 +214,7 @@ def make_grid_dataset(target, n_points: int) -> Dataset:
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     grid = uniform_grid((n_points,))
-    outputs = np.asarray(target.evaluate(grid[:, 0]), dtype=np.float64)
-    meta = {"generator": type(target).__name__, "n_points": n_points}
-    if isinstance(target, FourierTarget):
-        meta["seed"] = target.seed
-        meta["requested_ratio"] = target.requested_ratio
-    return Dataset(inputs=grid, outputs=outputs, metadata=meta)
+    return Dataset(inputs=grid, outputs=target.evaluate(grid[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +334,6 @@ class ResultRecord:
 
     config: dict
     loss_trace: np.ndarray = field(repr=False)
-    test_loss_trace: np.ndarray | None = field(repr=False)
     final_params: np.ndarray = field(repr=False)
     resource_counters: dict
     recovered_coefficients: np.ndarray | None = field(default=None, repr=False)
@@ -348,13 +343,7 @@ class ResultRecord:
         return float(self.loss_trace[-1])
 
 
-def train(
-    model,
-    data: Dataset,
-    cfg: TrainConfig,
-    feature_map: FeatureMap | None = None,
-    test_data: Dataset | None = None,
-) -> ResultRecord:
+def train(model, data: Dataset, cfg: TrainConfig) -> ResultRecord:
     """Adam-train a quantum ``AnsatzSpec`` or a ``ClassicalModel``.
 
     Quantum runs initialize every angle uniformly on [-pi, pi) from the
@@ -364,11 +353,9 @@ def train(
     an update leaves a parameter non-finite.
     """
     if isinstance(model, AnsatzSpec):
-        return _train_quantum(model, data, cfg, test_data)
+        return _train_quantum(model, data, cfg)
     if isinstance(model, ClassicalModel):
-        if feature_map is None:
-            raise ValueError("classical training needs a feature map")
-        return _train_classical(model, data, cfg, feature_map, test_data)
+        return _train_classical(model, data, cfg)
     raise TypeError(f"cannot train object of type {type(model).__name__}")
 
 
@@ -380,24 +367,22 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int | None) -> 
     return rng.choice(n, size=batch_size, replace=False)
 
 
-def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, recover,
+def _fit(cfg: TrainConfig, params, rng, data: Dataset, batch, exact, recover,
          counters: dict) -> ResultRecord:
     """The training loop both model families share.
 
     ``batch(params, idx)`` returns the model values and their Jacobian on
-    ``data.inputs[idx]``; ``exact(params, test)`` returns exact values on
-    ``data``, or on ``test_data`` when ``test`` is true; ``recover(params)``
-    returns the coefficient vector.  The callables keep ``counters``.
+    ``data.inputs[idx]``; ``exact(params)`` returns exact values on
+    ``data``; ``recover(params)`` returns the coefficient vector.  The
+    callables keep ``counters``.
     """
     state = AdamState.initialize(params)
     trace: list[float] = []
-    test_trace: list[float] | None = [] if test_data is not None else None
 
     def record(config: dict, recovered=None) -> ResultRecord:
         return ResultRecord(
             config=config,
             loss_trace=np.asarray(trace),
-            test_loss_trace=None if test_trace is None else np.asarray(test_trace),
             final_params=state.params.copy(),
             resource_counters=counters,
             recovered_coefficients=recovered,
@@ -412,8 +397,6 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
         residual = values - data.outputs[idx]
         loss = float(np.mean(residual**2))
         trace.append(loss)
-        if test_trace is not None:
-            test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
         if not np.isfinite(loss) or loss > _DIVERGENCE_THRESHOLD:
             raise diverged(f"loss {loss} exceeded divergence threshold after {len(trace)} steps")
         grad = (2.0 / residual.size) * (jac.T @ residual)
@@ -421,14 +404,12 @@ def _fit(cfg: TrainConfig, params, rng, data: Dataset, test_data, batch, exact, 
         if not np.isfinite(state.params).all():
             raise diverged(f"non-finite parameters after {len(trace)} steps")
 
-    trace.append(mse_loss(exact(state.params, False), data.outputs))
-    if test_trace is not None:
-        test_trace.append(mse_loss(exact(state.params, True), test_data.outputs))
+    trace.append(mse_loss(exact(state.params), data.outputs))
     recovered = recover(state.params) if cfg.recover_coefficients else None
     return record(asdict(cfg), recovered)
 
 
-def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data) -> ResultRecord:
+def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig) -> ResultRecord:
     if data.inputs.shape[1] != spec.n_variables:
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, model expects {spec.n_variables}"
@@ -443,7 +424,6 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
         "circuit_evaluations": 0,
         "gate_operations": 0,
         "shots_drawn": 0,
-        "test_evaluations": 0,
     }
 
     def batch(params, idx):
@@ -456,10 +436,7 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
             counters["shots_drawn"] += cfg.shots * evaluations
         return values, jac
 
-    def exact(params, test):
-        if test:
-            counters["test_evaluations"] += len(test_data)
-            return evaluate_batch(spec, params, test_data.inputs)
+    def exact(params):
         counters["circuit_evaluations"] += len(data)
         counters["gate_operations"] += n_gt * len(data)
         return evaluate_batch(spec, params, data.inputs)
@@ -467,15 +444,12 @@ def _train_quantum(spec: AnsatzSpec, data: Dataset, cfg: TrainConfig, test_data)
     def recover(params):
         return fourier_coefficients(spec, params)
 
-    return _fit(cfg, theta, rng, data, test_data, batch, exact, recover, counters)
+    return _fit(cfg, theta, rng, data, batch, exact, recover, counters)
 
 
-def _train_classical(
-    model: ClassicalModel, data: Dataset, cfg: TrainConfig, fm: FeatureMap, test_data
-) -> ResultRecord:
+def _train_classical(model: ClassicalModel, data: Dataset, cfg: TrainConfig) -> ResultRecord:
+    fm = model.feature_map
     dim = model.n_parameters
-    if not 1 <= dim <= fm.dimension:
-        raise ValueError(f"dimension must be in 1..{fm.dimension}, got {dim}")
     if data.inputs.shape[1] != fm.n_variables:
         raise ValueError(
             f"dataset has {data.inputs.shape[1]} variables, feature map expects {fm.n_variables}"
@@ -483,11 +457,7 @@ def _train_classical(
     if cfg.shots is not None:
         raise ValueError("shots applies to quantum models only; a classical fit is exact")
 
-    def features(dataset: Dataset) -> np.ndarray:
-        return feature_matrix(dataset.inputs, fm)[:, :dim]
-
-    phi = features(data)
-    phi_test = None if test_data is None else features(test_data)
+    phi = feature_matrix(data.inputs, fm)[:, :dim]
     counters = {
         "parameter_dimension": dim,
         "feature_dimension": fm.dimension,
@@ -501,9 +471,7 @@ def _train_classical(
         counters["dot_operations"] += 2 * len(rows) * dim  # forward + gradient
         return rows @ params, rows
 
-    def exact(params, test):
-        if test:
-            return phi_test @ params
+    def exact(params):
         counters["forward_passes"] += len(data)
         counters["dot_operations"] += len(data) * dim
         return phi @ params
@@ -511,8 +479,8 @@ def _train_classical(
     def recover(params):
         return np.concatenate([params, np.zeros(fm.dimension - dim)])
 
-    return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, test_data,
-                batch, exact, recover, counters)
+    return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, batch, exact, recover,
+                counters)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +628,7 @@ def run_expressivity_comparison(
         n_variables=1, n_qubits=n_qubits, n_layers=n_layers,
         topology=Parallel(), encoding=exponential_weights(n_qubits),
     )
+    baseline = ClassicalModel(np.zeros(classical_dimension), fm)
 
     quantum: list[list[ResultRecord]] = []
     classical: list[list[ResultRecord]] = []
@@ -679,8 +648,7 @@ def run_expressivity_comparison(
                 seed=_derived_seed(base_seed, r_index, run, 2),
             )
             q_row.append(train(spec, data, q_cfg))
-            c_row.append(train(ClassicalModel(np.zeros(classical_dimension)), data, c_cfg,
-                               feature_map=fm))
+            c_row.append(train(baseline, data, c_cfg))
         quantum.append(q_row)
         classical.append(c_row)
     return ComparisonResult(r_values=r_values, runs=runs, quantum=quantum, classical=classical)

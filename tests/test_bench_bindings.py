@@ -43,8 +43,7 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
                       topology=Parallel(), encoding=exponential_weights(2))
     trainer.train(spec, data, cfg)
     fm = FeatureMap(n_variables=1, degrees=(2,))
-    trainer.train(ClassicalModel(coefficients=np.zeros(fm.dimension)), data, cfg,
-                  feature_map=fm)
+    trainer.train(ClassicalModel(np.zeros(fm.dimension), fm), data, cfg)
     for mode in ("haar", "circuit"):
         for case in ("I", "II", "III"):
             before = dict(tracer.calls)
@@ -71,10 +70,14 @@ def test_every_traced_span_records_calls(bench_tracer, tmp_path):
 
 
 def test_exact_fit_counts_match_the_record(bench_tracer):
-    """An exact fit takes its Jacobian from the adjoint pass. The circuit
-    evaluations the tracer derives from call arguments, (2 N_tp + 1) per
-    row, must still equal the record's parameter-shift count, and the
-    kernels must still be called through the traced bindings."""
+    """An exact fit of this spec takes its Jacobian from the diagonal
+    engine, which runs no gate kernel in a step; the rotation kernels are
+    reached only through the final ``evaluate_batch``'s opening block, and
+    ``apply_cnot`` there and where the trimmed program folds trailing CNOTs
+    into its observable. The circuit evaluations the tracer derives from
+    call arguments, (2 N_tp + 1) per row, must still equal the record's
+    parameter-shift count, and the kernels must still be called through
+    the traced bindings."""
     tracer, _ = bench_tracer
     spec = AnsatzSpec(n_variables=1, n_qubits=3, n_layers=1,
                       topology=Parallel(), encoding=exponential_weights(3))

@@ -102,7 +102,7 @@ class TestEvaluate:
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalModel(coefficients=np.array([1.0, np.nan]))
+            ClassicalModel(np.array([1.0, np.nan]), FeatureMap(n_variables=1, degrees=(1,)))
 
 
 class TestCrossModelConsistency:

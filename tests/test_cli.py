@@ -175,7 +175,7 @@ class TestTrainCommand:
         assert len(result["loss_trace"]) == 6
         assert "wall_ms" not in result
         trace = (out / "trace.csv").read_text().strip().split("\n")
-        assert trace[0] == "step,train_loss,test_loss"
+        assert trace[0] == "step,train_loss"
         assert len(trace) == 7
         assert (out / "config.json").exists()
         assert (out / "run.log").exists()

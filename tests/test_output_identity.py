@@ -2,8 +2,9 @@
 
 A tree run against itself matches byte for byte; a JSON document that
 differs is reported by the keys on one side only and the largest numeric
-difference over the keys both sides share.  No golden hashes are kept:
-they would tie the suite to one BLAS build.
+difference over the keys both sides share, a CSV file by the header
+columns on one side only and the rows whose shared columns differ.  No
+golden hashes are kept: they would tie the suite to one BLAS build.
 """
 
 import json
@@ -45,11 +46,17 @@ def test_differing_outputs_are_reported(tmp_path):
         (root / "run" / "trace.csv").write_text(rows)
         (root / "run" / "run.log").write_text(str(root))
     (parent / "run" / "extra.csv").write_text("")
+    # a dropped column, every shared cell unchanged
+    (parent / "run" / "dropped.csv").write_text("step,loss,held_out\n0,0.5,\n1,0.25,\n")
+    (change / "run" / "dropped.csv").write_text("step,loss\n0,0.5\n1,0.25\n")
     count, lines = output_identity.compare_outputs(parent, change)
-    assert count == 3
+    assert count == 4
     assert lines == [
+        "run/dropped.csv: differs; columns only in parent: held_out; only in change: none; "
+        "shared columns agree row for row",
         "run/extra.csv: only in parent",
         "run/result.json: differs; only in parent: gone; only in change: none; "
         "largest numeric difference 0.5; other values differing: none",
-        "run/trace.csv: differs in 2 lines",
+        "run/trace.csv: differs; columns only in parent: none; only in change: none; "
+        "shared columns differ in 2 rows",
     ]

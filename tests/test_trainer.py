@@ -115,8 +115,6 @@ class TestRandomFourierTarget:
     def test_grid_dataset_metadata(self):
         target = make_random_fourier_target(9, 6, 2.0, seed=7)
         data = make_grid_dataset(target, 50)
-        assert data.metadata["seed"] == 7
-        assert data.metadata["n_points"] == 50
         assert np.abs(data.outputs).max() <= 1.0 + 1e-9
 
 
@@ -225,7 +223,7 @@ class TestTrainConfig:
 class SharedLoopChecks:
     """Training-loop behaviour both model families share.
 
-    Subclasses say how to train and predict; ``PER_POINT`` is the cost a
+    Subclasses say how to train; ``PER_POINT`` is the cost a
     training step charges to ``EVALUATIONS`` per batch point, and a fit at
     ``DIVERGING_RATE`` aborts with a message matching ``DIVERGENCE``.
     """
@@ -235,10 +233,7 @@ class SharedLoopChecks:
     DIVERGING_RATE: float
     DIVERGENCE: str
 
-    def train(self, data, cfg, test_data=None):
-        raise NotImplementedError
-
-    def predict(self, params, inputs):
+    def train(self, data, cfg):
         raise NotImplementedError
 
     def test_batched_steps(self):
@@ -248,24 +243,15 @@ class SharedLoopChecks:
         assert record.resource_counters[self.EVALUATIONS] == 4 * self.PER_POINT * 3 + 10
         assert len(record.loss_trace) == 5
 
-    def test_test_loss_trace(self):
-        data = make_grid_dataset(StepTarget(), 8)
-        test_data = make_grid_dataset(StepTarget(), 5)
-        record = self.train(data, TrainConfig(steps=3, seed=0), test_data=test_data)
-        assert record.test_loss_trace.shape == record.loss_trace.shape
-        final = mse_loss(self.predict(record.final_params, test_data.inputs), test_data.outputs)
-        assert record.test_loss_trace[-1] == pytest.approx(final, abs=1e-14)
-
     def test_divergence_aborts_with_partial_record(self):
         data = make_grid_dataset(FourierTarget(coefficients=0.2 * np.ones(5)), 20)
         cfg = TrainConfig(learning_rate=self.DIVERGING_RATE, steps=50, seed=0)
         with pytest.raises(TrainingError, match=self.DIVERGENCE) as excinfo:
-            self.train(data, cfg, test_data=data)
+            self.train(data, cfg)
         record = excinfo.value.record
         assert record is not None
         assert record.config["aborted"] == "divergence"
         assert len(record.loss_trace) >= 1
-        assert record.test_loss_trace.shape == record.loss_trace.shape
         assert (record.loss_trace[-1] > trainer._DIVERGENCE_THRESHOLD
                 or not np.isfinite(record.final_params).all())
 
@@ -279,12 +265,9 @@ class TestClassicalTraining(SharedLoopChecks):
     DIVERGING_RATE = 1e8
     DIVERGENCE = "exceeded divergence threshold"
 
-    def train(self, data, cfg, test_data=None):
-        model = ClassicalModel(coefficients=np.zeros(CLASSICAL_FM.dimension))
-        return train(model, data, cfg, feature_map=CLASSICAL_FM, test_data=test_data)
-
-    def predict(self, params, inputs):
-        return feature_matrix(inputs, CLASSICAL_FM) @ params
+    def train(self, data, cfg):
+        model = ClassicalModel(np.zeros(CLASSICAL_FM.dimension), CLASSICAL_FM)
+        return train(model, data, cfg)
 
     def test_convex_run_reaches_floor(self):
         """Fully parametrized model on an in-span target: Adam should land
@@ -295,8 +278,7 @@ class TestClassicalTraining(SharedLoopChecks):
         target = FourierTarget(coefficients=c_true)
         data = make_grid_dataset(target, 40)
         cfg = TrainConfig(learning_rate=0.1, steps=500, seed=0)
-        record = train(ClassicalModel(coefficients=np.zeros(fm.dimension)), data, cfg,
-                       feature_map=fm)
+        record = train(ClassicalModel(np.zeros(fm.dimension), fm), data, cfg)
         assert record.final_loss < 1e-3
         phi = feature_matrix(data.inputs, fm)
         oracle, *_ = np.linalg.lstsq(phi, data.outputs, rcond=None)
@@ -307,10 +289,10 @@ class TestClassicalTraining(SharedLoopChecks):
         """A model of n < K coefficients trains on the leading n feature
         columns and recovers its coefficients zero-padded to K."""
         fm = FeatureMap(n_variables=1, degrees=(3,))
-        model = ClassicalModel(coefficients=np.zeros(4))
+        model = ClassicalModel(np.zeros(4), fm)
         data = make_grid_dataset(FourierTarget(coefficients=np.eye(7)[1]), 20)
         cfg = TrainConfig(learning_rate=0.1, steps=200, seed=1, recover_coefficients=True)
-        record = train(model, data, cfg, feature_map=fm)
+        record = train(model, data, cfg)
         assert record.final_loss < 1e-4
         assert record.final_params.shape == (4,)
         assert record.resource_counters["parameter_dimension"] == 4
@@ -341,12 +323,11 @@ class TestClassicalTraining(SharedLoopChecks):
 
     @pytest.mark.parametrize("width", [0, 8], ids=["empty", "wider-than-map"])
     def test_dimension_mismatch(self, width):
-        """A model with no coefficients or more than the map's K features is
-        refused up front, not by a shape error inside the first product."""
+        """A model with no coefficients or more than its map's K features is
+        refused when it is built, not by a shape error inside the first
+        product of a fit."""
         with pytest.raises(ValueError, match=rf"dimension must be in 1\.\.7, got {width}"):
-            train(ClassicalModel(coefficients=np.zeros(width)),
-                  make_grid_dataset(StepTarget(), 16), TrainConfig(steps=1),
-                  feature_map=FeatureMap(n_variables=1, degrees=(3,)))
+            ClassicalModel(np.zeros(width), FeatureMap(n_variables=1, degrees=(3,)))
 
     def test_shots_rejected(self):
         # a classical fit is exact; a shot count would be recorded yet never read
@@ -363,11 +344,8 @@ class TestQuantumTraining(SharedLoopChecks):
     DIVERGING_RATE = 1.7e308
     DIVERGENCE = "non-finite parameters"
 
-    def train(self, data, cfg, test_data=None):
-        return train(TWO_QUBIT, data, cfg, test_data=test_data)
-
-    def predict(self, params, inputs):
-        return evaluate_batch(TWO_QUBIT, params, inputs)
+    def train(self, data, cfg):
+        return train(TWO_QUBIT, data, cfg)
 
     @pytest.mark.parametrize("steps", [10, 2], ids=["mid-run", "last-step"])
     def test_overflowing_update_aborts_with_partial_record(self, steps):
@@ -514,8 +492,7 @@ class TestResultRecord:
 
     def _files(self):
         data = make_grid_dataset(StepTarget(), 6)
-        record = train(TWO_QUBIT, data, TrainConfig(steps=2, seed=0),
-                       test_data=make_grid_dataset(StepTarget(), 4))
+        record = train(TWO_QUBIT, data, TrainConfig(steps=2, seed=0))
         return record, cli._train_files(record)
 
     def test_json_round_trip(self):
@@ -524,7 +501,6 @@ class TestResultRecord:
         assert doc["config"]["seed"] == 0
         assert "seed" not in doc  # recorded once, in the config
         assert doc["loss_trace"] == record.loss_trace.tolist()
-        assert doc["test_loss_trace"] == record.test_loss_trace.tolist()
         assert doc["final_params"] == record.final_params.tolist()
         assert doc["recovered_coefficients"] is None
         assert doc["resource_counters"]["gate_count_per_circuit"] == 12
@@ -533,14 +509,13 @@ class TestResultRecord:
     def test_trace_csv_round_trip(self):
         record, files = self._files()
         lines = files["trace.csv"].strip().split("\n")
-        assert lines[0] == "step,train_loss,test_loss"
+        assert lines[0] == "step,train_loss"
         assert len(lines) == len(record.loss_trace) + 1
         for step, line in enumerate(lines[1:]):
-            index, train_loss, test_loss = line.split(",")
+            index, train_loss = line.split(",")
             assert int(index) == step
             # 17 significant digits round-trip exactly
             assert float(train_loss) == record.loss_trace[step]
-            assert float(test_loss) == record.test_loss_trace[step]
 
 
 class TestCsvDataset:
@@ -628,11 +603,10 @@ class TestExperiments:
                 quantum = train(TWO_QUBIT, data, TrainConfig(
                     learning_rate=0.03, steps=10, seed=seed(base_seed, ri, run, 1)))
                 classical = train(
-                    ClassicalModel(coefficients=np.zeros(6)),
+                    ClassicalModel(np.zeros(6), fm),
                     data,
                     TrainConfig(learning_rate=0.03, steps=10,
                                 seed=seed(base_seed, ri, run, 2)),
-                    feature_map=fm,
                 )
                 for got, want in ((result.quantum[ri][run], quantum),
                                   (result.classical[ri][run], classical)):

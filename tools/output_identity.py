@@ -10,13 +10,18 @@ same relative ``output_dir``.  Every primary output, that is every file
 written except the ``run.log`` sidecar, is then compared byte for byte,
 and so is each command's exit code.  For a JSON file that differs, the
 keys found on one side only are named, with the largest numeric
-difference over the keys both sides share.  Exits 1 on any difference,
-0 when every primary output is byte-identical.
+difference over the keys both sides share.  For a CSV file that differs,
+the header columns found on one side only are named, and the rows whose
+shared columns differ are counted, so a dropped column reads as exactly
+that.  Exits 1 on any difference, 0 when every primary output is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -136,6 +141,25 @@ def json_difference(parent_text: str, change_text: str) -> dict:
     }
 
 
+def csv_difference(parent_text: str, change_text: str) -> dict:
+    """The header columns of each side only, and the number of rows whose
+    shared columns differ, a row on one side only included."""
+    tables = [list(csv.reader(io.StringIO(text))) for text in (parent_text, change_text)]
+    headers = [rows[0] if rows else [] for rows in tables]
+    shared = [name for name in headers[0] if name in headers[1]]
+
+    def shared_cells(header, rows):
+        return [[dict(zip(header, row)).get(name) for name in shared] for row in rows[1:]]
+
+    parent, change = (shared_cells(header, rows) for header, rows in zip(headers, tables))
+    return {
+        "only_parent": [name for name in headers[0] if name not in headers[1]],
+        "only_change": [name for name in headers[1] if name not in headers[0]],
+        "rows_differing": (sum(a != b for a, b in zip(parent, change))
+                           + abs(len(parent) - len(change))),
+    }
+
+
 def _names(keys: list[str]) -> str:
     shown = ", ".join(keys[:8]) or "none"
     return shown + (f" ... ({len(keys)} in all)" if len(keys) > 8 else "")
@@ -167,10 +191,12 @@ def compare_outputs(parent_dir: Path, change_dir: Path) -> tuple[int, list[str]]
                 f"difference {diff['largest_numeric']:.3g}; other values differing: "
                 f"{_names(diff['other'])}")
         else:
-            old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
-            changed = (sum(a != b for a, b in zip(old_lines, new_lines))
-                       + abs(len(old_lines) - len(new_lines)))
-            lines.append(f"{name}: differs in {changed} lines")
+            diff = csv_difference(old.decode(), new.decode())
+            rows = diff["rows_differing"]
+            lines.append(
+                f"{name}: differs; columns only in parent: {_names(diff['only_parent'])}; "
+                f"only in change: {_names(diff['only_change'])}; shared columns "
+                + (f"differ in {rows} rows" if rows else "agree row for row"))
     return len(files), lines
 
 
