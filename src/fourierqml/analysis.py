@@ -259,6 +259,17 @@ class PlateauReport:
 _MAX_HAAR_QUBITS = 16
 
 
+def _capped_qubits(n_variables: int, n_qubits: int) -> int:
+    """The register's total qubit count; above the Monte-Carlo cap it
+    raises ``CapacityError``."""
+    total = n_variables * n_qubits
+    if total > _MAX_HAAR_QUBITS:
+        raise CapacityError(
+            f"{total} qubits exceed the plateau Monte-Carlo cap of {_MAX_HAAR_QUBITS}"
+        )
+    return total
+
+
 def plateau_stats(
     n_variables: int,
     n_qubits: int,
@@ -301,11 +312,7 @@ def plateau_stats(
         raise ValueError(f"mode must be 'haar' or 'circuit', got {mode!r}")
     if grad_case not in ("I", "II", "III"):
         raise ValueError(f"grad_case must be 'I', 'II' or 'III', got {grad_case!r}")
-    total = n_variables * n_qubits
-    if total > _MAX_HAAR_QUBITS:
-        raise CapacityError(
-            f"{total} qubits exceed the plateau Monte-Carlo cap of {_MAX_HAAR_QUBITS}"
-        )
+    total = _capped_qubits(n_variables, n_qubits)
     if x is None:
         x = 0.5 + 0.25 * np.arange(n_variables)
     x = np.asarray(x, dtype=np.float64)
@@ -432,9 +439,12 @@ def plateau_sweep(
     """Run ``plateau_stats`` across register sizes and fit the decay base.
 
     The fitted ``alpha`` is written back onto every report.  Fewer than
-    two distinct sizes raise ``ValueError`` before any sampling.
+    two distinct sizes raise ``ValueError``, and a size above the qubit cap
+    ``CapacityError``, before any sampling.
     """
     _require_two_sizes(qubit_counts)
+    for n in qubit_counts:
+        _capped_qubits(n_variables, n)
     reports = [
         plateau_stats(n_variables, n, trials, rng, mode=mode,
                       grad_case=grad_case, n_layers=n_layers)

@@ -33,10 +33,6 @@ class ConfigError(ValueError):
     """A CLI run config failed to parse or validate."""
 
 
-class DatasetParseError(ValueError):
-    """A dataset file could not be parsed; message includes the row number."""
-
-
 def _is_integer(checker, instance) -> bool:
     # JSON true/false parse as bool, a subclass of int; 2.0 parses as float
     return isinstance(instance, int) and not isinstance(instance, bool)

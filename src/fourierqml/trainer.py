@@ -40,9 +40,7 @@ config) pair fully determines every trace.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,7 +52,7 @@ from .cfflm import (
     grid_values,
     uniform_grid,
 )
-from .errors import DatasetParseError, TrainingError
+from .errors import TrainingError
 from .qfflm import (
     AnsatzSpec,
     Parallel,
@@ -80,8 +78,6 @@ __all__ = [
     "mse_loss",
     "adam_step",
     "train",
-    "load_csv_dataset",
-    "denormalize_outputs",
     "run_expressivity_comparison",
     "run_step_function_study",
     "ComparisonResult",
@@ -95,12 +91,10 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Inputs of shape (n, M), outputs of shape (n,), plus metadata (a CSV
-    dataset's normalization record)."""
+    """Inputs of shape (n, M) and outputs of shape (n,)."""
 
     inputs: np.ndarray = field(repr=False)
     outputs: np.ndarray = field(repr=False)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -136,13 +130,10 @@ class FourierTarget:
     """Univariate target defined by real Fourier-feature coefficients.
 
     ``coefficients`` follows the canonical feature ordering (index 0 the
-    constant, odd indices cosines, even indices sines).  ``split_index``
-    marks the low/high coefficient split used by the energy-ratio
-    diagnostics; it is informational for hand-built targets.
+    constant, odd indices cosines, even indices sines).
     """
 
     coefficients: np.ndarray = field(repr=False)
-    split_index: int | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.float64)
@@ -157,13 +148,6 @@ class FourierTarget:
     @property
     def feature_map(self) -> FeatureMap:
         return FeatureMap(n_variables=1, degrees=((self.dimension - 1) // 2,))
-
-    def realized_ratio(self) -> float:
-        if not self.split_index:
-            raise ValueError("target has no split index")
-        low = float(np.sum(self.coefficients[: self.split_index] ** 2))
-        high = float(np.sum(self.coefficients[self.split_index :] ** 2))
-        return float(np.sqrt(low / high))
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -206,7 +190,7 @@ def make_random_fourier_target(kappa: int, split: int, r: float, seed: int) -> F
     energy_high = float(np.sum(c[split:] ** 2))
     c[:split] *= r * np.sqrt(energy_high / energy_low)
     c *= _NORM_MAX / float(np.abs(grid_values(c, fm, (points,))).max())
-    return FourierTarget(coefficients=c, split_index=split)
+    return FourierTarget(coefficients=c)
 
 
 def make_grid_dataset(target, n_points: int) -> Dataset:
@@ -481,97 +465,6 @@ def _train_classical(model: ClassicalModel, data: Dataset, cfg: TrainConfig) -> 
 
     return _fit(cfg, model.coefficients, make_rng(cfg.seed), data, batch, exact, recover,
                 counters)
-
-
-# ---------------------------------------------------------------------------
-# file-backed datasets
-# ---------------------------------------------------------------------------
-
-_CSV_INPUT_RANGE = (-np.pi, np.pi)
-_CSV_OUTPUT_RANGE = (0.03, 1.0)
-
-
-def load_csv_dataset(path, input_cols: list[str], output_col: str) -> Dataset:
-    """Numeric CSV with header -> normalized Dataset.
-
-    Every column is mapped affinely onto its range (inputs to
-    [-pi, pi], the output to [0.03, 1]); the affine
-    parameters land in ``metadata["normalization"]`` so predictions can
-    be mapped back.  Constant columns map to the range midpoint with a
-    warning.  Malformed rows and non-finite cells (``nan``, ``inf``) raise
-    ``DatasetParseError`` naming the row and the column.
-    """
-    columns = list(input_cols) + [output_col]
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetParseError("row 1: empty file, expected a header") from None
-        positions = {}
-        for name in columns:
-            if name not in header:
-                raise ValueError(f"column {name!r} not in header {header}")
-            positions[name] = header.index(name)
-        rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetParseError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for name in columns:
-                where = f"row {row_number}, column {name!r}"
-                try:
-                    value = float(row[positions[name]])
-                except ValueError as exc:
-                    raise DatasetParseError(f"{where}: {exc}") from None
-                if not np.isfinite(value):
-                    raise DatasetParseError(f"{where}: {value} is not a finite number")
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise DatasetParseError("row 2: no data rows")
-    raw = np.asarray(rows)
-    normalization = {}
-    normalized = np.empty_like(raw)
-    for k, name in enumerate(columns):
-        lo, hi = float(raw[:, k].min()), float(raw[:, k].max())
-        range_lo, range_hi = _CSV_OUTPUT_RANGE if name == output_col else _CSV_INPUT_RANGE
-        if hi == lo:
-            warnings.warn(f"column {name!r} is constant; mapped to range midpoint", stacklevel=2)
-            scale = 0.0
-            offset = (range_lo + range_hi) / 2.0
-        else:
-            scale = (range_hi - range_lo) / (hi - lo)
-            offset = range_lo - scale * lo
-        normalized[:, k] = scale * raw[:, k] + offset
-        normalization[name] = {
-            "scale": scale, "offset": offset, "min": lo, "max": hi,
-            "range": [range_lo, range_hi],
-        }
-    return Dataset(
-        inputs=normalized[:, : len(input_cols)],
-        outputs=normalized[:, -1],
-        metadata={
-            "generator": "csv",
-            "path": str(path),
-            "input_cols": list(input_cols),
-            "output_col": output_col,
-            "normalization": normalization,
-        },
-    )
-
-
-def denormalize_outputs(dataset: Dataset, values) -> np.ndarray:
-    """Invert the output-column normalization of a CSV-backed dataset."""
-    record = dataset.metadata["normalization"][dataset.metadata["output_col"]]
-    scale, offset = record["scale"], record["offset"]
-    if scale == 0.0:
-        raise ValueError("constant output column cannot be inverted")
-    return (np.asarray(values, dtype=np.float64) - offset) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,16 @@ class TestPlateauCommand:
         })
         assert main(["plateau", "--config", config]) == 2
 
+    def test_over_cap_size_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # the 17-qubit size is refused before the 2-qubit one is sampled
+        sampled = record_plateau_samples(monkeypatch)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, plateau_config(out, qubit_counts=[2, 17]))
+        assert main(["plateau", "--config", config]) == 4
+        assert capsys.readouterr().err.startswith("plateau: capacity exceeded")
+        assert sampled == []
+        assert not out.exists()
+
 
 class TestResourcesCommand:
     def test_crossing_table(self, tmp_path):

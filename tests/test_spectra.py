@@ -170,3 +170,22 @@ class TestStructurePredicates:
         if n >= 2:
             faster = EncodingSpec(weights=tuple(4**k for k in range(n)))
             assert not spectrum(faster).is_dense
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exponential_is_the_unique_densest(self, n):
+        """Among all n-weight encodings, only exponential weights reach the
+        largest dense degree, (3^n - 1) / 2.
+
+        The search is complete: 3^n signed sums cover at most 3^n integers,
+        so a dense spectrum has degree at most (3^n - 1) / 2, and each of
+        its weights is at most that degree.
+        """
+        bound = (3**n - 1) // 2
+        dense = {}
+        for weights in itertools.combinations_with_replacement(range(1, bound + 1), n):
+            spec = spectrum(EncodingSpec(weights=weights))
+            if spec.is_dense:
+                dense[weights] = spec.d_f
+        best = max(dense.values())
+        assert best == bound
+        assert [w for w, d_f in dense.items() if d_f == best] == [exponential_weights(n).weights]

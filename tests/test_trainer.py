@@ -14,7 +14,7 @@ from fourierqml.cfflm import (
     grid_values,
     uniform_grid,
 )
-from fourierqml.errors import CapacityError, DatasetParseError, TrainingError
+from fourierqml.errors import CapacityError, TrainingError
 from fourierqml.qfflm import (
     AnsatzSpec,
     Parallel,
@@ -30,8 +30,6 @@ from fourierqml.trainer import (
     StepTarget,
     TrainConfig,
     adam_step,
-    denormalize_outputs,
-    load_csv_dataset,
     make_grid_dataset,
     make_random_fourier_target,
     mse_loss,
@@ -80,8 +78,9 @@ class TestDataset:
 class TestRandomFourierTarget:
     def test_realized_ratio_exact(self):
         for r in (0.05, 1.6, 55.5):
-            target = make_random_fourier_target(81, 64, r, seed=3)
-            assert target.realized_ratio() == pytest.approx(r, abs=1e-9)
+            c = make_random_fourier_target(81, 64, r, seed=3).coefficients
+            realized = np.sqrt(np.sum(c[:64] ** 2) / np.sum(c[64:] ** 2))
+            assert realized == pytest.approx(r, abs=1e-9)
 
     def test_bounded_with_margin(self):
         target = make_random_fourier_target(81, 64, 0.05, seed=11)
@@ -112,7 +111,7 @@ class TestRandomFourierTarget:
         with pytest.raises(ValueError):
             FourierTarget(coefficients=np.zeros(4))
 
-    def test_grid_dataset_metadata(self):
+    def test_grid_dataset_within_unit_band(self):
         target = make_random_fourier_target(9, 6, 2.0, seed=7)
         data = make_grid_dataset(target, 50)
         assert np.abs(data.outputs).max() <= 1.0 + 1e-9
@@ -516,64 +515,6 @@ class TestResultRecord:
             assert int(index) == step
             # 17 significant digits round-trip exactly
             assert float(train_loss) == record.loss_trace[step]
-
-
-class TestCsvDataset:
-    def _write(self, tmp_path, text):
-        path = tmp_path / "data.csv"
-        path.write_text(text, encoding="utf-8")
-        return path
-
-    def test_endpoint_mapping_and_round_trip(self, tmp_path):
-        path = self._write(tmp_path, "a,b,y\n0,10,5\n2,30,9\n1,20,7\n")
-        data = load_csv_dataset(path, ["a", "b"], "y")
-        assert data.inputs[0, 0] == pytest.approx(-np.pi)
-        assert data.inputs[1, 0] == pytest.approx(np.pi)
-        assert data.outputs[0] == pytest.approx(0.03)
-        assert data.outputs[1] == pytest.approx(1.0)
-        raw = denormalize_outputs(data, data.outputs)
-        np.testing.assert_allclose(raw, [5.0, 9.0, 7.0], atol=1e-12)
-
-    def test_constant_column_maps_to_midpoint(self, tmp_path):
-        path = self._write(tmp_path, "a,y\n3,1\n3,2\n")
-        with pytest.warns(UserWarning, match="constant"):
-            data = load_csv_dataset(path, ["a"], "y")
-        np.testing.assert_allclose(data.inputs[:, 0], 0.0)
-
-    def test_malformed_row_names_line(self, tmp_path):
-        path = self._write(tmp_path, "a,y\n1,2\nbad,3\n")
-        with pytest.raises(DatasetParseError, match="row 3"):
-            load_csv_dataset(path, ["a"], "y")
-
-    @pytest.mark.parametrize("text, where", [
-        ("a,y\n1,2\nnan,3\n2,inf\n", "row 3, column 'a'"),
-        ("a,y\n1,2\n2,inf\n", "row 3, column 'y'"),
-        ("a,y\n-Infinity,2\n2,3\n", "row 2, column 'a'"),
-    ])
-    def test_non_finite_cell_names_row_and_column(self, tmp_path, text, where):
-        path = self._write(tmp_path, text)
-        with pytest.raises(DatasetParseError, match=where):
-            load_csv_dataset(path, ["a"], "y")
-
-    def test_short_row_names_line(self, tmp_path):
-        path = self._write(tmp_path, "a,y\n1\n")
-        with pytest.raises(DatasetParseError, match="row 2"):
-            load_csv_dataset(path, ["a"], "y")
-
-    def test_missing_column(self, tmp_path):
-        path = self._write(tmp_path, "a,y\n1,2\n")
-        with pytest.raises(ValueError, match="not in header"):
-            load_csv_dataset(path, ["z"], "y")
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = self._write(tmp_path, "")
-        with pytest.raises(DatasetParseError, match="row 1: empty file"):
-            load_csv_dataset(path, ["a"], "y")
-
-    def test_header_only_rejected(self, tmp_path):
-        path = self._write(tmp_path, "a,y\n\n")
-        with pytest.raises(DatasetParseError, match="row 2: no data rows"):
-            load_csv_dataset(path, ["a"], "y")
 
 
 class TestExperiments:
